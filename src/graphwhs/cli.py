@@ -279,7 +279,7 @@ def _config_option(required: bool = True):
 
 def _common_options(fn):
     fn = click.option("--workers", type=int, default=None,
-                      help="worker processes (default: logical cores)")(fn)
+                      help="threads splitting the Monte-Carlo path axis (default: serial)")(fn)
     fn = click.option("--seed", type=int, default=None, help="override config seed")(fn)
     fn = click.option("--out", "out_dir", default=None,
                       type=click.Path(file_okay=False), help="override output root")(fn)

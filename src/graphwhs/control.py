@@ -24,18 +24,45 @@ class (an upper approximation of the adapted-control infimum), optimized
 with common random numbers: every candidate reuses the same increment
 streams, so comparisons are noise-free to first order and results are
 deterministic given (config, seed).
+
+All estimators run on the lockstep engine of ``dynamics.run_rows``:
+
+* Noise is drawn once per estimator (``dynamics.draw_noise``).  The outer
+  value, the middle search of ``bellman_gap`` with its reachable-cloud
+  probes, and all inner lattice nodes each replay one draw; the nodes share
+  streams 0..inner_paths-1.
+* Each batch row carries its own start state and control, so every pending
+  candidate of every search advances in one batch.  The coordinate-wise
+  golden-section search is a coroutine (``_coordinate_search``); K of them
+  run side by side (``_lockstep``), each with its own budget and early
+  exits, and give bitwise the results of K separate searches.
+* A reducer decides what a run keeps.  ``_RunningCost`` sums the
+  left-rectangle running cost inside the step loop and stores no paths;
+  the terminal functional (``terminal_cost``, or the lattice interpolant
+  in the middle search) is applied to the surviving final states.  The
+  probes keep final states only.  A run whose every path escaped raises
+  ``EscapeQuotaError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .dynamics import SdeConfig, batch_arrays
+from .dynamics import (
+    EscapeQuotaError,
+    Noise,
+    RowControls,
+    SdeConfig,
+    draw_noise,
+    piece_index,
+    run_rows,
+)
 from .energies import EnergySpec, gradient_arrays
 from .graphs import Array, DensityState, DomainError, MomentumState, ShapeError
 
@@ -78,9 +105,7 @@ class ControlSignal:
         return cls(breakpoints=np.array([t0, T]), values=np.atleast_2d(V), ell=ell)
 
     def value_at(self, t: float) -> Array:
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        idx = min(max(idx, 0), self.values.shape[0] - 1)
-        return self.values[idx]
+        return self.values[piece_index(self.breakpoints, t)]
 
 
 @dataclass(frozen=True)
@@ -267,31 +292,78 @@ class ValueEstimate:
         }
 
 
-def _pathwise_costs(
+class _Estimate(NamedTuple):
+    mean: float
+    std_error: float
+    n_paths: int
+
+
+class _RunningCost:
+    """Reducer of ``run_rows``: the left-rectangle running cost, summed in the step loop."""
+
+    def __init__(self, cost: CostSpec, cfg: SdeConfig, times: Array, rows: int):
+        self.cost = cost
+        self.times = times
+        self.total = np.zeros(rows)
+
+    def record(self, k: int, rho: Array, s: Array, V: Array) -> None:
+        if k + 1 < self.times.size:
+            dt_k = float(self.times[k + 1] - self.times[k])
+            self.total += dt_k * running_cost(self.cost, float(self.times[k]), rho, s, V)
+
+    def result(self) -> tuple:
+        return (self.total,)
+
+
+def _blocks(alive: Array, paths: int) -> list[tuple[slice, Array]]:
+    """Row slice and surviving-row mask of each run of ``paths`` rows.
+
+    A run whose every path escaped has nothing to estimate from: that raises
+    EscapeQuotaError rather than averaging an empty set.
+    """
+    out = []
+    for lo in range(0, alive.size, paths):
+        keep = alive[lo:lo + paths]
+        if not keep.any():
+            raise EscapeQuotaError(paths, paths)
+        out.append((slice(lo, lo + paths), keep))
+    return out
+
+
+def _cost_estimates(
     cost: CostSpec,
     cfg: SdeConfig,
-    t: float,
-    rho: DensityState,
-    x: MomentumState,
-    control: ControlSignal | None,
-    n_paths: int,
-    master_seed: int,
+    starts: list,
+    controls: RowControls,
+    noise: Noise,
+    terminal,
     workers=None,
-) -> Array:
-    run_cfg = replace(cfg, t0=t, control=control)
-    times, rho_out, s_out, _, _, _, alive, _ = batch_arrays(
-        run_cfg, rho, x, n_paths, master_seed, workers
+) -> list[_Estimate]:
+    """Cost estimates of len(starts) runs advanced in one lockstep batch.
+
+    Run i starts at starts[i] = (rho, s), follows the control rows of block i,
+    and replays every path of the noise draw (common random numbers).
+    ``terminal(rho, s)`` scores the surviving final states.
+    """
+    paths = noise.incs.shape[0]
+    rho = np.repeat(np.stack([r for r, _ in starts]), paths, axis=0)
+    s = np.repeat(np.stack([x for _, x in starts]), paths, axis=0)
+    streams = np.tile(noise.first_stream + np.arange(paths), len(starts))
+    rho_T, s_T, alive, _, total = run_rows(
+        cfg, rho, s, noise, streams, partial(_RunningCost, cost), controls, workers
     )
-    rho_out = rho_out[alive]
-    s_out = s_out[alive]
-    total = np.zeros(rho_out.shape[0])
-    # Left-rectangle quadrature of the running cost along each path.
-    for k in range(times.size - 1):
-        dt_k = float(times[k + 1] - times[k])
-        V = np.zeros(rho.n) if control is None else control.value_at(float(times[k]))
-        total += dt_k * running_cost(cost, float(times[k]), rho_out[:, k], s_out[:, k], V)
-    total += cost.terminal_cost(rho_out[:, -1], s_out[:, -1])
-    return total
+    out = []
+    for rows, keep in _blocks(alive, paths):
+        costs = total[rows][keep]
+        costs += terminal(rho_T[rows][keep], s_T[rows][keep])
+        se = float(costs.std(ddof=1) / math.sqrt(costs.size)) if costs.size > 1 else 0.0
+        out.append(_Estimate(float(costs.mean()), se, int(costs.size)))
+    return out
+
+
+def _signal_rows(signals: list, paths: int) -> RowControls:
+    values = np.repeat(np.stack([sig.values for sig in signals]), paths, axis=0)
+    return RowControls(signals[0].breakpoints, values)
 
 
 def cost_functional(
@@ -306,38 +378,109 @@ def cost_functional(
     workers=None,
 ) -> ValueEstimate:
     """MC estimate of the expected running-plus-terminal cost of one control."""
-    total = _pathwise_costs(cost, cfg, t, rho, x, control, n_paths, master_seed, workers)
-    value = float(total.mean())
-    se = float(total.std(ddof=1) / math.sqrt(total.size)) if total.size > 1 else 0.0
+    run_cfg = replace(cfg, t0=t, control=None)
+    if control is None:
+        # The zero control moves and costs exactly what no control does.
+        control = ControlSignal.constant(np.zeros(rho.n), t, cfg.T, 1.0)
+    est = _cost_estimates(
+        cost, run_cfg, [(rho.rho, x.s)], _signal_rows([control], n_paths),
+        draw_noise(run_cfg, master_seed, n_paths), cost.terminal_cost, workers,
+    )[0]
     return ValueEstimate(
-        value=value,
-        std_error=se,
-        n_paths=int(total.size),
+        value=est.mean,
+        std_error=est.std_error,
+        n_paths=est.n_paths,
         control_class="fixed control",
         trace={"seed": master_seed},
     )
 
 
-def _golden_min(f, lo: float, hi: float, iters: int):
-    """Golden-section minimum of f on [lo, hi]; returns (x, f(x), evals)."""
+def _golden_min(params: Array, piece: int, axis: int, lo: float, hi: float, iters: int):
+    """Golden-section minimum along params[piece, axis] on [lo, hi].
+
+    A coroutine: yields lists of trial parameter arrays, is sent their
+    estimates, and returns (x, estimate at x) after iters + 2 trials.
+    """
+
+    def trial(v):
+        out = params.copy()
+        out[piece, axis] = v
+        return out
+
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
+    fc, fd = yield [trial(c), trial(d)]
     for _ in range(iters):
-        if fc <= fd:
+        if fc.mean <= fd.mean:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
-            fc = f(c)
+            (fc,) = yield [trial(c)]
         else:
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
-            fd = f(d)
-        evals += 1
-    if fc <= fd:
-        return c, fc, evals
-    return d, fd, evals
+            (fd,) = yield [trial(d)]
+    if fc.mean <= fd.mean:
+        return c, fc
+    return d, fd
+
+
+def _coordinate_search(m: int, n: int, ell: float, sweeps: int, iters: int, budget: float):
+    """Coordinate-wise golden-section search for an (m, n) control in the ell-ball.
+
+    Each coordinate is searched inside the ball slice the others leave; a
+    sweep that improves nothing, or a budget that cannot fit another
+    coordinate, ends the search.  A coroutine like ``_golden_min``: it
+    returns (params, best estimate, evals, flagged).
+    """
+    params = np.zeros((m, n))
+    (best,) = yield [params.copy()]
+    evals = 1
+    flagged = False
+    for _ in range(sweeps):
+        improved = False
+        for piece in range(m):
+            for axis in range(n):
+                rest2 = float((params[piece] ** 2).sum() - params[piece, axis] ** 2)
+                half = math.sqrt(max(ell * ell - rest2, 0.0))
+                if half <= 0.0:
+                    continue
+                if evals + iters + 2 > budget:
+                    flagged = True
+                    break
+                v_star, f_star = yield from _golden_min(params, piece, axis, -half, half, iters)
+                evals += iters + 2
+                if f_star.mean < best.mean - 1e-15:
+                    params[piece, axis] = v_star
+                    best = f_star
+                    improved = True
+            if flagged:
+                break
+        if flagged or not improved:
+            break
+    return params, best, evals, flagged
+
+
+def _lockstep(searches: list, estimate) -> list:
+    """Run coroutine searches side by side; returns their return values.
+
+    Each round gathers every search's pending trials and scores them all
+    with one ``estimate(owners, trials)`` call, so K searches cost one
+    batched run per round instead of K runs.
+    """
+    results = [None] * len(searches)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        owners = [i for i, trials in pending.items() for _ in trials]
+        scores = iter(estimate(owners, [t for trials in pending.values() for t in trials]))
+        advanced = {}
+        for i, trials in pending.items():
+            try:
+                advanced[i] = searches[i].send([next(scores) for _ in trials])
+            except StopIteration as done:
+                results[i] = done.value
+        pending = advanced
+    return results
 
 
 def _class_breakpoints(control_class: dict, t: float, T: float) -> Array:
@@ -370,69 +513,61 @@ def value_function_mc(
     beyond a few pieces; the classes used here stay small).  All candidates
     share increments through the fixed master seed.
     """
+    return _value_search(
+        cost, cfg, t, [(rho.rho, x.s)], control_class, n_paths, master_seed, budget, workers
+    )[0]
+
+
+def _value_search(
+    cost: CostSpec,
+    cfg: SdeConfig,
+    t: float,
+    starts: list,
+    control_class: dict,
+    n_paths: int,
+    master_seed: int,
+    budget: float,
+    workers=None,
+) -> list[ValueEstimate]:
+    """``value_function_mc`` at several start states, searched in lockstep.
+
+    Every start replays the same noise draw, and each keeps its own budget
+    and early exits, so its estimate equals a separate call bitwise.
+    """
     ell = float(control_class.get("ell", getattr(cfg.control, "ell", 1.0)))
     bp = _class_breakpoints(control_class, t, cfg.T)
     m = bp.size - 1
-    n = rho.n
-    params = np.zeros((m, n))
-    evals = 0
-
-    def evaluate(vals) -> float:
-        nonlocal evals
-        evals += 1
-        sig = ControlSignal(breakpoints=bp, values=vals, ell=ell)
-        return float(
-            _pathwise_costs(cost, cfg, t, rho, x, sig, n_paths, master_seed, workers).mean()
-        )
-
-    best = evaluate(params)
-    flagged = False
+    n = cfg.energy.graph.n
+    run_cfg = replace(cfg, t0=t, control=None)
+    noise = draw_noise(run_cfg, master_seed, n_paths)
     sweeps = int(control_class.get("sweeps", 2))
     iters = int(control_class.get("golden_iters", 14))
-    for _ in range(sweeps):
-        improved = False
-        for piece in range(m):
-            for axis in range(n):
-                rest2 = float((params[piece] ** 2).sum() - params[piece, axis] ** 2)
-                half = math.sqrt(max(ell * ell - rest2, 0.0))
-                if half <= 0.0:
-                    continue
-                if evals + iters + 2 > budget:
-                    flagged = True
-                    break
 
-                def f(v):
-                    trial = params.copy()
-                    trial[piece, axis] = v
-                    return evaluate(trial)
+    def estimate(owners, trials):
+        signals = [ControlSignal(breakpoints=bp, values=v, ell=ell) for v in trials]
+        return _cost_estimates(
+            cost, run_cfg, [starts[i] for i in owners], _signal_rows(signals, n_paths),
+            noise, cost.terminal_cost, workers,
+        )
 
-                v_star, f_star, _ = _golden_min(f, -half, half, iters)
-                if f_star < best - 1e-15:
-                    params[piece, axis] = v_star
-                    best = f_star
-                    improved = True
-            if flagged:
-                break
-        if flagged or not improved:
-            break
-
-    sig = ControlSignal(breakpoints=bp, values=params, ell=ell)
-    costs = _pathwise_costs(cost, cfg, t, rho, x, sig, n_paths, master_seed, workers)
-    se = float(costs.std(ddof=1) / math.sqrt(costs.size)) if costs.size > 1 else 0.0
-    return ValueEstimate(
-        value=float(costs.mean()),
-        std_error=se,
-        n_paths=int(costs.size),
-        control_class=f"piecewise-constant m={m}, ell={ell}",
-        trace={
-            "seed": master_seed,
-            "budget": budget,
-            "evals": evals,
-            "flagged": flagged,
-            "breakpoints": bp.tolist(),
-            "argmin": params.tolist(),
-        },
-    )
+    searches = [_coordinate_search(m, n, ell, sweeps, iters, budget) for _ in starts]
+    out = []
+    for params, best, evals, flagged in _lockstep(searches, estimate):
+        out.append(ValueEstimate(
+            value=best.mean,
+            std_error=best.std_error,
+            n_paths=best.n_paths,
+            control_class=f"piecewise-constant m={m}, ell={ell}",
+            trace={
+                "seed": master_seed,
+                "budget": budget,
+                "evals": evals,
+                "flagged": flagged,
+                "breakpoints": bp.tolist(),
+                "argmin": params.tolist(),
+            },
+        ))
+    return out
 
 
 def bellman_gap(
@@ -472,24 +607,25 @@ def bellman_gap(
     )
 
     # Reachable cloud at t_bar under a few probe controls fixes the lattice.
-    seg_cfg = replace(cfg, t0=t, T=t_bar)
-    probes = [None]
-    for sign in (1.0, -1.0):
-        probes.append(
-            ControlSignal.constant(np.full(n, sign * ell / math.sqrt(n)), t, t_bar, ell)
-        )
-    lo = np.full(3, np.inf)
-    hi = np.full(3, -np.inf)
-    for sig in probes:
-        pc = replace(seg_cfg, control=sig)
-        _, rho_out, s_out, _, _, _, alive, _ = batch_arrays(
-            pc, rho, x, min(n_paths, 400), master_seed
-        )
-        cloud = np.stack(
-            [rho_out[alive, -1, 0], s_out[alive, -1, 0], s_out[alive, -1, 1]], axis=1
-        )
-        lo = np.minimum(lo, cloud.min(axis=0))
-        hi = np.maximum(hi, cloud.max(axis=0))
+    # The probes replay the first paths of the middle search's noise draw.
+    seg_cfg = replace(cfg, t0=t, T=t_bar, control=None)
+    seg_noise = draw_noise(seg_cfg, master_seed, n_paths)
+    probe_paths = min(n_paths, 400)
+    corner = ell / math.sqrt(n)
+    probes = np.array([[0.0] * n, [corner] * n, [-corner] * n])
+    probe_rows = RowControls(np.array([t, t_bar]), np.repeat(probes[:, None], probe_paths, axis=0))
+    rho_T, s_T, alive, _ = run_rows(
+        seg_cfg,
+        np.tile(rho.rho, (3 * probe_paths, 1)),
+        np.tile(x.s, (3 * probe_paths, 1)),
+        seg_noise,
+        np.tile(np.arange(probe_paths), 3),
+        controls=probe_rows,
+    )
+    _blocks(alive, probe_paths)  # raises when a probe lost every path
+    cloud = np.stack([rho_T[alive, 0], s_T[alive, 0], s_T[alive, 1]], axis=1)
+    lo = cloud.min(axis=0)
+    hi = cloud.max(axis=0)
     pad = 0.05 * (hi - lo) + 1e-6
     lo -= pad
     hi += pad
@@ -500,62 +636,30 @@ def bellman_gap(
     inner_class = dict(control_class)
     inner_class.pop("breakpoints", None)
     inner_class["m"] = 1
-    inner_values = np.empty(lattice_shape)
-    inner_se_max = 0.0
-    for a, r1 in enumerate(axes[0]):
-        for b, x1 in enumerate(axes[1]):
-            for c, x2 in enumerate(axes[2]):
-                node_rho = DensityState(rho=np.array([r1, 1.0 - r1]))
-                node_x = MomentumState(s=np.array([x1, x2]))
-                est = value_function_mc(
-                    cost, cfg, t_bar, node_rho, node_x, inner_class,
-                    inner_paths, master_seed + 7_777_777, workers=workers,
-                )
-                inner_values[a, b, c] = est.value
-                inner_se_max = max(inner_se_max, est.std_error)
+    nodes = [
+        (np.array([r1, 1.0 - r1]), np.array([x1, x2]))
+        for r1 in axes[0] for x1 in axes[1] for x2 in axes[2]
+    ]
+    inner = _value_search(
+        cost, cfg, t_bar, nodes, inner_class, inner_paths, master_seed + 7_777_777,
+        budget=150, workers=workers,
+    )
+    inner_values = np.array([est.value for est in inner]).reshape(lattice_shape)
+    inner_se_max = max(0.0, *(est.std_error for est in inner))
     interp = RegularGridInterpolator(axes, inner_values, bounds_error=False, fill_value=None)
 
-    def middle_objective(V1: Array) -> tuple[float, float]:
-        sig = ControlSignal.constant(V1, t, t_bar, ell)
-        run_cfg = replace(seg_cfg, control=sig)
-        times, rho_out, s_out, _, _, _, alive, _ = batch_arrays(
-            run_cfg, rho, x, n_paths, master_seed, workers
+    def middle_terminal(rho_T, s_T):
+        return interp(np.stack([rho_T[:, 0], s_T[:, 0], s_T[:, 1]], axis=1))
+
+    def middle(owners, trials):
+        signals = [ControlSignal(breakpoints=[t, t_bar], values=v, ell=ell) for v in trials]
+        return _cost_estimates(
+            cost, seg_cfg, [(rho.rho, x.s)] * len(trials), _signal_rows(signals, n_paths),
+            seg_noise, middle_terminal, workers,
         )
-        rho_out = rho_out[alive]
-        s_out = s_out[alive]
-        total = np.zeros(rho_out.shape[0])
-        for k in range(times.size - 1):
-            dt_k = float(times[k + 1] - times[k])
-            total += dt_k * running_cost(
-                cost, float(times[k]), rho_out[:, k], s_out[:, k], V1
-            )
-        pts = np.stack(
-            [rho_out[:, -1, 0], s_out[:, -1, 0], s_out[:, -1, 1]], axis=1
-        )
-        total += interp(pts)
-        se = float(total.std(ddof=1) / math.sqrt(total.size)) if total.size > 1 else 0.0
-        return float(total.mean()), se
 
-    params = np.zeros(n)
-    best, best_se = middle_objective(params)
-    for _ in range(2):
-        improved = False
-        for axis in range(n):
-            rest2 = float((params**2).sum() - params[axis] ** 2)
-            half = math.sqrt(max(ell * ell - rest2, 0.0))
-
-            def f(v):
-                trial = params.copy()
-                trial[axis] = v
-                return middle_objective(trial)[0]
-
-            v_star, f_star, _ = _golden_min(f, -half, half, 12)
-            if f_star < best - 1e-15:
-                params[axis] = v_star
-                best, best_se = middle_objective(params)
-                improved = True
-        if not improved:
-            break
+    [(_, mid, _, _)] = _lockstep([_coordinate_search(1, n, ell, 2, 12, math.inf)], middle)
+    best, best_se = mid.mean, mid.std_error
 
     gap = abs(outer.value - best)
     se = math.sqrt(outer.std_error**2 + best_se**2) + inner_se_max

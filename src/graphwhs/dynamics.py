@@ -20,6 +20,12 @@ that the path reports a boundary escape.
 Everything here is deterministic given (config, master seed): paths own
 pre-assigned noise streams, batches advance paths in lockstep with
 per-element arithmetic, and worker parallelism only chunks the path axis.
+
+``run_rows`` is the one stepping loop.  Its rows may start from different
+states, carry different controls and replay the same noise draw, and a
+reducer chooses what a run keeps: ``_FullPath`` (every node, the layout of
+``batch_arrays``), a running-cost sum (``control``), or only the final
+state.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,11 +129,7 @@ class Trajectory:
 
 def drift_field(energy: EnergySpec, V, rho: DensityState, x: MomentumState):
     """(d rho/dt, S-drift) for one state; the first component is mean-zero."""
-    d_rho, d_x = gradient_arrays(energy, rho.rho, x.s)
-    s_drift = -d_rho
-    if V is not None:
-        s_drift = s_drift - np.asarray(V, dtype=float)
-    return d_x, s_drift
+    return _drift_arrays(energy, None if V is None else np.asarray(V, dtype=float), rho.rho, x.s)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +145,10 @@ def _drift_arrays(energy: EnergySpec, V, rho: Array, x: Array):
 
 
 def midpoint_step(energy: EnergySpec, floor: float, rho: Array, s: Array, V, dt: float, dw: Array):
-    """One midpoint step on (..., n) states; flags rows leaving the interior."""
+    """One midpoint step on (..., n) states; flags rows leaving the interior.
+
+    V is None, one control vector for every row, or one row per state row.
+    """
     f1r, f1s = _drift_arrays(energy, V, rho, s)
     rm = rho + 0.5 * dt * f1r
     sm = s + 0.5 * dt * f1s
@@ -168,6 +174,7 @@ class _SlotCounter:
 
 def _advance_one(
     cfg: SdeConfig,
+    control_at,
     rho: Array,
     s: Array,
     t: float,
@@ -179,8 +186,11 @@ def _advance_one(
     depth: int,
     path_index: int,
 ):
-    """Advance a single path over [t, t+dt], splitting the step as needed."""
-    V = cfg.control_value(t)
+    """Advance a single path over [t, t+dt], splitting the step as needed.
+
+    ``control_at(t)`` gives this path's control vector (or None) at time t.
+    """
+    V = control_at(t)
     new_rho, new_s, bad = midpoint_step(
         cfg.energy, cfg.boundary_floor, rho[None], s[None], V, dt, dw[None]
     )
@@ -193,12 +203,9 @@ def _advance_one(
     xi = stream.bridge_normal(step_index, slots.take(), rho.size)
     e = 0.5 * math.sqrt(dt) * xi
     half = 0.5 * dw
-    rho, s = _advance_one(
-        cfg, rho, s, t, 0.5 * dt, half + e, stream, step_index, slots, depth + 1, path_index
-    )
-    return _advance_one(
-        cfg, rho, s, t + 0.5 * dt, 0.5 * dt, half - e, stream, step_index, slots, depth + 1, path_index
-    )
+    args = (stream, step_index, slots, depth + 1, path_index)
+    rho, s = _advance_one(cfg, control_at, rho, s, t, 0.5 * dt, half + e, *args)
+    return _advance_one(cfg, control_at, rho, s, t + 0.5 * dt, 0.5 * dt, half - e, *args)
 
 
 def _time_grid(cfg: SdeConfig):
@@ -216,51 +223,108 @@ def _time_grid(cfg: SdeConfig):
     return steps, last_dt, times
 
 
-def _run_block(cfg: SdeConfig, rho0: Array, x0: Array, master_seed: int, path_ids: Array):
-    """Advance paths path_ids[0]..path_ids[-1] in lockstep; returns raw arrays."""
-    spec = cfg.energy
-    n = spec.graph.n
-    P = path_ids.size
-    steps, last_dt, times = _time_grid(cfg)
+# ---------------------------------------------------------------------------
+# the lockstep engine: shared noise, per-row starts and controls, reducers
+# ---------------------------------------------------------------------------
+
+class Noise(NamedTuple):
+    """Increments of streams first_stream.. of master_seed on one time grid."""
+
+    master_seed: int
+    first_stream: int
+    incs: Array  # (paths, steps, n); the short last step is already scaled
+
+
+def draw_noise(cfg: SdeConfig, master_seed: int, n_paths: int, first_stream: int = 0) -> Noise:
+    """One ``batch_increments`` draw on cfg's time grid, for any number of runs to replay."""
+    steps, last_dt, _ = _time_grid(cfg)
     incs = batch_increments(
-        master_seed, P, steps, n, cfg.dt, first_stream=int(path_ids[0])
+        master_seed, n_paths, steps, cfg.energy.graph.n, cfg.dt, first_stream=first_stream
     )
     if last_dt != cfg.dt and steps > 0:
         incs[:, -1, :] *= math.sqrt(last_dt / cfg.dt)
+    return Noise(master_seed, first_stream, incs)
 
-    rho = np.tile(np.asarray(rho0, dtype=float), (P, 1))
-    s = np.tile(np.asarray(x0, dtype=float), (P, 1))
-    rho_out = np.empty((P, steps + 1, n))
-    s_out = np.empty((P, steps + 1, n))
-    h0_out = np.empty((P, steps + 1))
-    h0v_out = np.empty((P, steps + 1))
-    alive = np.ones(P, dtype=bool)
-    escape_time = np.full(P, np.nan)
 
-    def record(k):
-        rho_out[:, k] = rho
-        s_out[:, k] = s
-        h0 = dominant_array(spec, rho, s)
-        h0_out[:, k] = h0
-        V = cfg.control_value(times[k] if k < steps else times[-1])
-        h0v_out[:, k] = h0 if V is None else h0 + rho @ V
+def piece_index(breakpoints: Array, t: float) -> int:
+    """Index of the piece [b_i, b_{i+1}) holding t; times past either end clip."""
+    idx = int(np.searchsorted(breakpoints, t, side="right")) - 1
+    return min(max(idx, 0), breakpoints.size - 2)
 
-    record(0)
+
+@dataclass(frozen=True)
+class RowControls:
+    """Piecewise-constant controls on shared breakpoints, one signal per batch row."""
+
+    breakpoints: Array  # (m+1,)
+    values: Array       # (rows, m, n)
+
+    def value_at(self, t: float) -> Array:
+        return self.values[:, piece_index(self.breakpoints, t)]
+
+    def rows(self, sel) -> "RowControls":
+        return RowControls(self.breakpoints, self.values[sel])
+
+
+class _FullPath:
+    """Reducer that keeps every node: the path arrays of ``batch_arrays``.
+
+    H0V adds ``rho @ V``, so the control must be shared by all rows.
+    """
+
+    def __init__(self, cfg: SdeConfig, times: Array, rows: int):
+        n = cfg.energy.graph.n
+        self.energy = cfg.energy
+        self.rho = np.empty((rows, times.size, n))
+        self.s = np.empty((rows, times.size, n))
+        self.h0 = np.empty((rows, times.size))
+        self.h0v = np.empty((rows, times.size))
+
+    def record(self, k: int, rho: Array, s: Array, V) -> None:
+        self.rho[:, k] = rho
+        self.s[:, k] = s
+        h0 = dominant_array(self.energy, rho, s)
+        self.h0[:, k] = h0
+        self.h0v[:, k] = h0 if V is None else h0 + rho @ V
+
+    def result(self) -> tuple:
+        return self.rho, self.s, self.h0, self.h0v
+
+
+def _row_control(control_at, p: int):
+    def at(t):
+        V = control_at(t)
+        return V if V is None or V.ndim == 1 else V[p]
+
+    return at
+
+
+def _run_rows(cfg, rho, s, noise: Noise, streams, reducer, controls):
+    steps, last_dt, times = _time_grid(cfg)
+    rows = rho.shape[0]
+    control_at = cfg.control_value if controls is None else controls.value_at
+    keep = None if reducer is None else reducer(cfg, times, rows)
+    noise_rows = streams - noise.first_stream
+    alive = np.ones(rows, dtype=bool)
+    escape_time = np.full(rows, np.nan)
+
+    V = control_at(float(times[0]))
+    if keep is not None:
+        keep.record(0, rho, s, V)
     for k in range(steps):
         t = float(times[k])
         dt_k = last_dt if k == steps - 1 else cfg.dt
-        V = cfg.control_value(t)
-        dw = incs[:, k, :]
+        dw = noise.incs[noise_rows, k]
         new_rho, new_s, bad = midpoint_step(
             cfg.energy, cfg.boundary_floor, rho, s, V, dt_k, dw
         )
         if bad.any():
             for p in np.flatnonzero(bad & alive):
-                stream = RngStream(master_seed, int(path_ids[p]))
+                stream = RngStream(noise.master_seed, int(streams[p]))
                 try:
                     new_rho[p], new_s[p] = _advance_one(
-                        cfg, rho[p], s[p], t, dt_k, dw[p], stream, k,
-                        _SlotCounter(), 0, int(path_ids[p]),
+                        cfg, _row_control(control_at, p), rho[p], s[p], t, dt_k, dw[p],
+                        stream, k, _SlotCounter(), 0, int(streams[p]),
                     )
                 except BoundaryEscapeError as err:
                     alive[p] = False
@@ -269,15 +333,69 @@ def _run_block(cfg: SdeConfig, rho0: Array, x0: Array, master_seed: int, path_id
                     new_s[p] = s[p]
         rho = np.where(alive[:, None], new_rho, rho)
         s = np.where(alive[:, None], new_s, s)
-        record(k + 1)
-    return times, rho_out, s_out, h0_out, h0v_out, incs, alive, escape_time
+        V = control_at(float(times[k + 1]))
+        if keep is not None:
+            keep.record(k + 1, rho, s, V)
+    extra = () if keep is None else keep.result()
+    return (rho, s, alive, escape_time, *extra)
+
+
+def run_rows(
+    cfg: SdeConfig,
+    rho: Array,
+    s: Array,
+    noise: Noise,
+    streams: Array,
+    reducer=None,
+    controls: RowControls | None = None,
+    workers: int | None = None,
+):
+    """Advance the rows of (rho, s) over cfg's time grid in lockstep.
+
+    Row r starts at (rho[r], s[r]) and is driven by stream ``streams[r]`` of
+    the noise draw, so many runs (candidate controls, start states) replay
+    one draw.  The control is ``controls`` (one signal per row) or else
+    ``cfg.control`` (shared).  ``reducer(cfg, times, rows)`` builds an object
+    whose ``record(k, rho, s, V)`` sees the state and control at every grid
+    node and whose ``result()`` returns row-major arrays; without one only
+    the final state is kept.  Returns (rho_T, s_T, alive, escape_time,
+    *reducer results).  ``workers`` threads split the row axis; every row's
+    arithmetic is its own, so the split cannot change a result.
+    """
+    rows = rho.shape[0]
+    if not workers or workers <= 1 or rows == 1:
+        return _run_rows(cfg, rho, s, noise, streams, reducer, controls)
+    chunks = [
+        slice(int(c[0]), int(c[-1]) + 1)
+        for c in np.array_split(np.arange(rows), min(workers, rows))
+    ]
+
+    def part(sel):
+        sub = None if controls is None else controls.rows(sel)
+        return _run_rows(cfg, rho[sel], s[sel], noise, streams[sel], reducer, sub)
+
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = list(pool.map(part, chunks))
+    return tuple(np.concatenate(arrays, axis=0) for arrays in zip(*parts))
+
+
+def _full_paths(cfg, rho0: Array, x0: Array, n_paths: int, master_seed: int,
+                workers=None, first_stream: int = 0):
+    noise = draw_noise(cfg, master_seed, n_paths, first_stream)
+    rho = np.tile(np.asarray(rho0, dtype=float), (n_paths, 1))
+    s = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    streams = first_stream + np.arange(n_paths)
+    _, _, alive, escape_time, rho_out, s_out, h0, h0v = run_rows(
+        cfg, rho, s, noise, streams, _FullPath, workers=workers
+    )
+    times = _time_grid(cfg)[2]
+    return times, rho_out, s_out, h0, h0v, noise.incs, alive, escape_time
 
 
 def simulate(cfg: SdeConfig, rho0: DensityState, x0: MomentumState, rng: RngStream) -> Trajectory:
     """Integrate one path on [t0, T] driven by the given stream."""
-    path_ids = np.array([rng.stream_id])
-    times, rho_out, s_out, h0, h0v, incs, alive, escape_time = _run_block(
-        cfg, rho0.rho, x0.s, rng.master_seed, path_ids
+    times, rho_out, s_out, h0, h0v, incs, alive, escape_time = _full_paths(
+        cfg, rho0.rho, x0.s, 1, rng.master_seed, first_stream=rng.stream_id
     )
     traj = Trajectory(
         times=times,
@@ -301,7 +419,8 @@ def step(cfg: SdeConfig, state, t: float, dt: float, rng: RngStream, step_index:
     z = rng.base_normals((step_index + 1) * n)[step_index * n:]
     dw = math.sqrt(dt) * z
     new_rho, new_s = _advance_one(
-        cfg, rho.rho, x.s, t, dt, dw, rng, step_index, _SlotCounter(), 0, rng.stream_id
+        cfg, cfg.control_value, rho.rho, x.s, t, dt, dw, rng, step_index, _SlotCounter(), 0,
+        rng.stream_id,
     )
     return DensityState(rho=new_rho, floor=min(cfg.boundary_floor, 1e-9)), MomentumState(s=new_s)
 
@@ -352,20 +471,10 @@ def batch_arrays(
 ):
     """Raw ensemble arrays (times, rho, s, h0, h0v, increments, alive, escape_time).
 
-    The heavy consumers (cost estimators, moment scans) work on these
-    directly instead of per-path Trajectory objects.
+    The full-path reducer of ``run_rows`` over streams 0..n_paths-1; the
+    moment scans and trajectory builders work on these arrays directly.
     """
-    ids = np.arange(n_paths)
-    if not workers or workers <= 1 or n_paths == 1:
-        return _run_block(cfg, rho0.rho, x0.s, master_seed, ids)
-    chunks = np.array_split(ids, min(workers, n_paths))
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(
-            pool.map(lambda c: _run_block(cfg, rho0.rho, x0.s, master_seed, c), chunks)
-        )
-    times = parts[0][0]
-    merged = [np.concatenate([p[i] for p in parts], axis=0) for i in range(1, 8)]
-    return (times, *merged)
+    return _full_paths(cfg, rho0.rho, x0.s, n_paths, master_seed, workers)
 
 
 # ---------------------------------------------------------------------------

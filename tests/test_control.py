@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphwhs import dynamics
+from graphwhs.checks import benchmark_cost, benchmark_energy
 from graphwhs.control import (
     BOUNDED_TRACKING,
     QUADRATIC_CONTROL,
@@ -17,10 +19,11 @@ from graphwhs.control import (
     fhat_on_norms,
     hamiltonian,
     legendre_fhat,
+    _value_search,
     running_cost,
     value_function_mc,
 )
-from graphwhs.dynamics import SdeConfig
+from graphwhs.dynamics import EscapeQuotaError, SdeConfig
 from graphwhs.energies import EnergySpec
 from graphwhs.graphs import (
     DensityState,
@@ -364,6 +367,54 @@ def test_budget_flagging():
     assert est.trace["evals"] <= 3
 
 
+def test_all_paths_escaping_raises():
+    # One step from a density just above the floor overshoots it, and with no
+    # step halving allowed every path escapes: there is nothing to average.
+    spec = EnergySpec(graph=pair_graph(), sigma=np.array([0.2, 0.2]))
+    cfg = SdeConfig(energy=spec, T=0.05, dt=5e-3, max_rejects=0)
+    rho = DensityState(rho=np.array([2e-9, 1.0 - 2e-9]))
+    x = MomentumState(s=np.array([-0.4, 0.2]))
+    with pytest.raises(EscapeQuotaError) as err:
+        cost_functional(benchmarkish_cost(), cfg, 0.0, rho, x, None, 6, 3)
+    assert (err.value.escaped, err.value.total) == (6, 6)
+    with pytest.raises(EscapeQuotaError):
+        value_function_mc(benchmarkish_cost(), cfg, 0.0, rho, x, {"ell": 1.0, "m": 1}, 6, 3)
+
+
+def interacting_energy() -> EnergySpec:
+    return EnergySpec(
+        graph=pair_graph(),
+        sigma=np.array([0.3, 0.1]),
+        interaction=np.array([[0.4, 0.7], [0.7, -0.2]]),
+    )
+
+
+@pytest.mark.parametrize("energy", [benchmark_energy(), interacting_energy()])
+def test_lockstep_lattice_equals_per_node_searches(energy):
+    cfg = SdeConfig(energy=energy, T=0.1, dt=5e-3)
+    cost = benchmark_cost()
+    klass = {"ell": 1.0, "m": 1, "golden_iters": 2, "sweeps": 3}
+    nodes = [
+        (np.array([r1, 1.0 - r1]), np.array([x1, x2]))
+        for r1 in (0.3, 0.4, 0.5)
+        for x1 in (-0.4, 0.0, 0.4)
+        for x2 in (-0.3, 0.1, 0.5)
+    ]
+    together = _value_search(cost, cfg, 0.05, nodes, klass, 12, 17, budget=24)
+    for (r, s), est in zip(nodes, together):
+        alone = value_function_mc(
+            cost, cfg, 0.05, DensityState(rho=r), MomentumState(s=s), klass, 12, 17, budget=24
+        )
+        assert est.value == alone.value
+        assert est.std_error == alone.std_error
+        assert est.trace["evals"] == alone.trace["evals"]
+        assert est.trace["argmin"] == alone.trace["argmin"]
+        assert est.trace["flagged"] == alone.trace["flagged"]
+    # Some nodes stop early and others run into the budget, so the lockstep
+    # run has to keep each node's own control flow.
+    assert len({(est.trace["evals"], est.trace["flagged"]) for est in together}) > 1
+
+
 def benchmarkish_cost() -> CostSpec:
     return CostSpec(
         family=BOUNDED_TRACKING,
@@ -423,3 +474,65 @@ def test_bellman_gap_small_run():
         inner_paths=50, lattice_shape=(3, 3, 3),
     )
     assert pair == (gap, se)
+
+
+def small_gap_inputs():
+    spec = EnergySpec(graph=pair_graph(), sigma=np.array([0.2, 0.2]))
+    cfg = SdeConfig(energy=spec, T=0.1, dt=5e-3)
+    rho = DensityState(rho=np.array([0.35, 0.65]))
+    x = MomentumState(s=np.array([0.4, -0.2]))
+    return (benchmarkish_cost(), cfg, 0.0, 0.05, rho, x, {"ell": 1.0, "m": 1}, 60, 21)
+
+
+def test_bellman_gap_threads_match_serial():
+    kw = {"inner_paths": 50, "lattice_shape": (3, 3, 3), "return_detail": True}
+    assert bellman_gap(*small_gap_inputs(), workers=2, **kw) == bellman_gap(
+        *small_gap_inputs(), workers=None, **kw
+    )
+
+
+def test_bellman_gap_detail_is_pinned():
+    # Values of the per-candidate implementation this engine replaced; a
+    # change in the order of any summation shows up here first.
+    gap, se, detail = bellman_gap(
+        *small_gap_inputs(), inner_paths=50, lattice_shape=(3, 3, 3), return_detail=True
+    )
+    assert (gap, se) == (0.005712338178523235, 0.011296560696910471)
+    assert detail == {
+        "inner_se_max": 0.005584175006485714,
+        "lattice_hi": [0.36734536328221434, 0.5860021288746566, -0.0806478682566952],
+        "lattice_lo": [0.36309708515477696, 0.2904589205188975, -0.3731011993894418],
+        "middle_se": 0.003326457093575214,
+        "middle_value": 0.2267249914152922,
+        "outer": {
+            "control_class": "piecewise-constant m=2, ell=1.0",
+            "n_paths": 60,
+            "std_error": 0.004643924362085656,
+            "trace": {
+                "argmin": [
+                    [0.5952184671419591, -0.31845870627527095],
+                    [0.5799995455149474, -0.31823550767447634],
+                ],
+                "breakpoints": [0.0, 0.05, 0.1],
+                "budget": 150,
+                "evals": 129,
+                "flagged": False,
+                "seed": 21,
+            },
+            "value": 0.22101265323676897,
+        },
+    }
+
+
+def test_bellman_gap_draws_noise_once_per_estimator(monkeypatch):
+    calls = []
+    draw = dynamics.batch_increments
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "batch_increments", counted)
+    bellman_gap(*small_gap_inputs(), inner_paths=50, lattice_shape=(3, 3, 3))
+    # Outer value, middle search (with its probes) and the inner lattice.
+    assert len(calls) <= 4

@@ -6,11 +6,14 @@ import pytest
 from graphwhs.dynamics import (
     BoundaryEscapeError,
     EscapeQuotaError,
+    RowControls,
     SdeConfig,
     Trajectory,
     batch_arrays,
+    draw_noise,
     drift_field,
     regularity_scan,
+    run_rows,
     simulate,
     simulate_batch,
     step,
@@ -68,6 +71,34 @@ def test_worker_count_does_not_change_results():
     threaded = batch_arrays(cfg, rho0, x0, 6, 123, workers=3)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_lockstep_rows_rescue_with_their_own_control_and_stream():
+    # Two runs near the boundary share one noise draw in one batch; strong
+    # noise forces step halvings and escapes in both.  Each run must match
+    # a batch of its own, so a rescue uses the row's control and its
+    # run-local stream, not the batch row index.
+    cfg = SdeConfig(energy=pair_spec(sigma=1.0), T=0.1, dt=1e-2)
+    starts = [([0.03, 0.97], [-1.0, 1.0]), ([0.03, 0.97], [-0.8, 0.9])]
+    controls = np.array([[0.6, -0.2], [-0.3, 0.5]])
+    paths = 8
+    rho = np.repeat([r for r, _ in starts], paths, axis=0)
+    s = np.repeat([x for _, x in starts], paths, axis=0)
+    rows = RowControls(np.array([0.0, 0.1]), np.repeat(controls[:, None], paths, axis=0))
+    noise = draw_noise(cfg, 4, paths)
+    rho_T, s_T, alive, escape_time = run_rows(
+        cfg, rho, s, noise, np.tile(np.arange(paths), 2), controls=rows
+    )
+    for b, (r, x) in enumerate(starts):
+        own = SdeConfig(energy=cfg.energy, T=0.1, dt=1e-2, control=ConstControl(controls[b]))
+        rho0, x0 = DensityState(rho=np.array(r)), MomentumState(s=np.array(x))
+        ref = batch_arrays(own, rho0, x0, paths, 4)
+        block = slice(b * paths, (b + 1) * paths)
+        assert np.array_equal(ref[1][:, -1], rho_T[block])
+        assert np.array_equal(ref[2][:, -1], s_T[block])
+        assert np.array_equal(ref[6], alive[block])
+        assert np.array_equal(ref[7], escape_time[block], equal_nan=True)
+        assert 0 < ref[6].sum() < paths
 
 
 def test_step_composition_matches_engine():
