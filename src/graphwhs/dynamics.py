@@ -416,7 +416,7 @@ def step(cfg: SdeConfig, state, t: float, dt: float, rng: RngStream, step_index:
     """One integrator step; standalone entry point used by transforms and tests."""
     rho, x = state
     n = rho.n
-    z = rng.base_normals((step_index + 1) * n)[step_index * n:]
+    z = rng.base_normals(n, start=step_index * n)
     dw = math.sqrt(dt) * z
     new_rho, new_s = _advance_one(
         cfg, cfg.control_value, rho.rho, x.s, t, dt, dw, rng, step_index, _SlotCounter(), 0,

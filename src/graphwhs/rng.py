@@ -12,6 +12,10 @@ elsewhere:
   common-noise refinement studies need,
 * worker scheduling cannot change any result because nothing is shared.
 
+Reads are random access through the Philox counter: reading ``count`` words
+from word w costs O(count) whatever w is, and nothing is cached, so a
+boundary rescue at step k costs the same as one at step 0.
+
 Bridge draws (used when a step is halved at the simplex boundary) come from
 a separate key so they never collide with base draws.
 """
@@ -23,7 +27,6 @@ from scipy.special import ndtri
 
 Array = np.ndarray
 
-_BRIDGE_BIT = np.uint64(1) << np.uint64(63)
 # Bridge slots reserved per nominal step (one normal vector each).  Binary
 # step refinement of depth d consumes at most 2^d - 1 slots, so 1024 slots
 # cover rejection depths up to 10.
@@ -36,48 +39,44 @@ def _raw_to_normals(raw: Array) -> Array:
     return ndtri(u)
 
 
+def _check_stream_id(stream_id: int) -> int:
+    # Bit 63 of the key marks bridge draws, so a wider id would alias them.
+    if not 0 <= stream_id < 2**63:
+        raise ValueError("stream_id must fit in 63 bits")
+    return int(stream_id)
+
+
 def _philox(master_seed: int, stream_id: int, bridge: bool = False) -> np.random.Philox:
-    key = np.array(
-        [
-            np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF),
-            np.uint64(stream_id) | (_BRIDGE_BIT if bridge else np.uint64(0)),
-        ],
-        dtype=np.uint64,
-    )
+    lane = _check_stream_id(stream_id) | (int(bridge) << 63)
+    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, lane], dtype=np.uint64)
     return np.random.Philox(key=key)
+
+
+def _words(master_seed: int, stream_id: int, start: int, count: int, bridge: bool = False) -> Array:
+    """Raw words start..start+count-1 of a stream, read through the counter."""
+    if start < 0:
+        # Philox.advance wraps a negative count round the counter space.
+        raise ValueError("word index must be non-negative")
+    gen = _philox(master_seed, stream_id, bridge)
+    # Philox-4x64 yields four 64-bit words per counter value.
+    block, skip = divmod(start, 4)
+    gen.advance(block)
+    return gen.random_raw(skip + count)[skip:]
 
 
 class RngStream:
     """One reproducible noise stream, identified by (master_seed, stream_id)."""
 
     def __init__(self, master_seed: int, stream_id: int = 0):
-        if not 0 <= stream_id < 2**63:
-            raise ValueError("stream_id must fit in 63 bits")
         self.master_seed = int(master_seed)
-        self.stream_id = int(stream_id)
-        self._base: Array = np.empty(0)
-        self._bridge: Array = np.empty(0)
+        self.stream_id = _check_stream_id(stream_id)
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
-    def _prefix(self, count: int, bridge: bool) -> Array:
-        cache = self._bridge if bridge else self._base
-        if count > cache.size:
-            # Regenerate from word 0; words are a pure function of the key,
-            # so extending the prefix never changes earlier entries.
-            gen = _philox(self.master_seed, self.stream_id, bridge=bridge)
-            grown = max(count, 2 * cache.size, 256)
-            cache = _raw_to_normals(gen.random_raw(grown))
-            if bridge:
-                self._bridge = cache
-            else:
-                self._base = cache
-        return cache[:count]
-
-    def base_normals(self, count: int) -> Array:
-        """First ``count`` standard normals of the stream (flat, read-only order)."""
-        return self._prefix(count, bridge=False).copy()
+    def base_normals(self, count: int, start: int = 0) -> Array:
+        """Standard normals ``start``..``start+count-1`` of the stream (flat order)."""
+        return _raw_to_normals(_words(self.master_seed, self.stream_id, start, count))
 
     def brownian_increments(self, n_steps: int, n_dim: int, dt: float, substeps: int = 1) -> Array:
         """Increments of an ``n_dim``-dimensional Brownian path on ``n_steps`` steps.
@@ -88,18 +87,18 @@ class RngStream:
         """
         if n_steps < 0 or substeps < 1:
             raise ValueError("need n_steps >= 0 and substeps >= 1")
-        z = self._prefix(n_steps * substeps * n_dim, bridge=False)
-        z = z.reshape(n_steps, substeps, n_dim)
+        z = self.base_normals(n_steps * substeps * n_dim).reshape(n_steps, substeps, n_dim)
         # Scale before summing: the coarse increment is then the plain float
         # sum of the fine increments it covers.
         return (np.sqrt(dt / substeps) * z).sum(axis=1)
 
     def bridge_normal(self, step_index: int, slot: int, n_dim: int) -> Array:
         """Standard-normal vector for the ``slot``-th split inside step ``step_index``."""
-        if slot >= _BRIDGE_SLOTS:
-            raise ValueError("bridge slot budget exceeded")
+        # A negative step_index gives a negative word index, which _words rejects.
+        if not 0 <= slot < _BRIDGE_SLOTS:
+            raise ValueError(f"bridge slot {slot} outside the budget [0, {_BRIDGE_SLOTS})")
         start = (step_index * _BRIDGE_SLOTS + slot) * n_dim
-        return self._prefix(start + n_dim, bridge=True)[start:start + n_dim].copy()
+        return _raw_to_normals(_words(self.master_seed, self.stream_id, start, n_dim, True))
 
 
 def batch_increments(
@@ -120,6 +119,6 @@ def batch_increments(
     words = n_steps * substeps * n_dim
     raw = np.empty((n_paths, words), dtype=np.uint64)
     for p in range(n_paths):
-        raw[p] = _philox(master_seed, first_stream + p).random_raw(words)
+        raw[p] = _words(master_seed, first_stream + p, 0, words)
     z = _raw_to_normals(raw).reshape(n_paths, n_steps, substeps, n_dim)
     return (np.sqrt(dt / substeps) * z).sum(axis=2)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from graphwhs import rng
+from graphwhs.dynamics import SdeConfig, midpoint_step, step
+from graphwhs.energies import EnergySpec
+from graphwhs.graphs import DensityState, Graph, MomentumState
 from graphwhs.rng import RngStream, batch_increments, _BRIDGE_SLOTS
 
 
@@ -61,3 +65,82 @@ def test_increment_moments():
     z = inc.ravel() / np.sqrt(0.1)
     assert abs(z.mean()) < 0.05
     assert abs(z.var() - 1.0) < 0.05
+
+
+def test_out_of_range_stream_ids_and_indices_are_rejected():
+    # Bit 63 of the key marks bridge draws: stream 2**63 would replay
+    # stream 0's bridge words as base noise.
+    with pytest.raises(ValueError):
+        batch_increments(3, 1, 2, 3, 1.0, first_stream=2**63)
+    with pytest.raises(ValueError):
+        batch_increments(3, 1, 2, 3, 1.0, first_stream=-1)
+    s = RngStream(3, 0)
+    with pytest.raises(ValueError):
+        s.base_normals(3, start=-1)
+    with pytest.raises(ValueError):
+        s.bridge_normal(-1, 0, 3)
+    with pytest.raises(ValueError):
+        s.bridge_normal(0, -1, 3)
+
+
+def test_random_access_reads_match_one_sequential_draw():
+    seed, stream = 2**40 + 5, 2**62 + 9
+    base = rng._raw_to_normals(rng._philox(seed, stream).random_raw(4000))
+    s = RngStream(seed, stream)
+    for start in (0, 1, 2, 3, 4, 5, 7, 999, 3001):
+        assert np.array_equal(s.base_normals(5, start=start), base[start:start + 5])
+    for n_dim in (1, 3):
+        k = 1000 if n_dim == 1 else 300
+        words = (k * _BRIDGE_SLOTS + 4) * n_dim
+        bridge = rng._raw_to_normals(rng._philox(seed, stream, bridge=True).random_raw(words))
+        offsets = set()
+        for step_index in (0, 1, k):
+            for slot in range(4):
+                start = (step_index * _BRIDGE_SLOTS + slot) * n_dim
+                offsets.add(start % 4)
+                got = s.bridge_normal(step_index, slot, n_dim)
+                assert np.array_equal(got, bridge[start:start + n_dim])
+        assert offsets == {0, 1, 2, 3}
+
+
+def test_step_reads_its_own_words_far_into_the_stream():
+    G = Graph.from_edges(2, [(0, 1, 1.0)])
+    cfg = SdeConfig(energy=EnergySpec(graph=G, fisher_coeff=0.125, sigma=np.full(2, 0.1)),
+                    T=1.0, dt=1e-3)
+    rho0 = DensityState(rho=np.array([0.4, 0.6]))
+    x0 = MomentumState(s=np.array([0.3, -0.1]))
+    k, n, dt = 10**5, 2, 1e-3
+    new_rho, new_s = step(cfg, (rho0, x0), 0.0, dt, RngStream(8, 1), step_index=k)
+    dw = np.sqrt(dt) * RngStream(8, 1).base_normals((k + 1) * n)[k * n:]
+    ref_rho, ref_s, bad = midpoint_step(cfg.energy, cfg.boundary_floor, rho0.rho[None],
+                                        x0.s[None], None, dt, dw[None])
+    assert not bad[0]
+    assert np.array_equal(new_rho.rho, ref_rho[0])
+    assert np.array_equal(new_s.s, ref_s[0])
+
+
+def test_rescue_cost_does_not_grow_with_step_index(monkeypatch):
+    # Counts words, not seconds: a draw at step k must not regenerate the
+    # k * 1024 * n_dim words before it.
+    produced = []
+    make = rng._philox
+
+    class Counting:
+        def __init__(self, *args, **kwargs):
+            self.gen = make(*args, **kwargs)
+
+        def advance(self, delta):
+            self.gen.advance(delta)
+            return self
+
+        def random_raw(self, size):
+            out = self.gen.random_raw(size)
+            produced.append(out.size)
+            return out
+
+    monkeypatch.setattr(rng, "_philox", Counting)
+    for k in (10, 10**4, 10**6):
+        produced.clear()
+        xi = RngStream(5, 0).bridge_normal(k, 0, 8)
+        assert xi.shape == (8,) and np.isfinite(xi).all()
+        assert sum(produced) <= 8 + 3
