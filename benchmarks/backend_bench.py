@@ -1,18 +1,22 @@
-"""Timing comparison of the compiled and pure-numpy kernel backends.
+"""Timing comparison of the compiled and pure-numpy grid layer sweep.
 
-Runs the two hot kernels (one backward grid layer, one batched Moreau
-envelope) on realistic shapes with both backends and prints the medians.
-Set GRAPHWHS_NO_NUMBA=1 to confirm the package works without the compiled
-path; this script always times both explicitly.
+Runs one backward grid layer (`hjb_layer`, the only kernel with a compiled
+twin) on a realistic shape with both backends and prints the medians.
+Without numba both columns time the numpy fallback.  The package is
+imported from the ``src/`` directory of the checkout holding this script.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from graphwhs._accel import NUMBA_AVAILABLE, USE_NUMBA
-from graphwhs._kernels import hjb_layer, moreau_lines
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from graphwhs._accel import NUMBA_AVAILABLE, USE_NUMBA  # noqa: E402
+from graphwhs._kernels import hjb_layer  # noqa: E402
 
 
 def median_time(fn, repeats: int) -> float:
@@ -45,40 +49,18 @@ def bench_layer(shape, repeats):
     return fast, slow, same
 
 
-def bench_moreau(lines, m, repeats):
-    rng = np.random.default_rng(1)
-    vals = rng.normal(0.0, 1.0, (lines, m))
-    coords = np.linspace(-1.0, 1.0, m)
-
-    def run(force):
-        return moreau_lines(vals, coords, 1.0, 0.05, force_numpy=force)
-
-    run(False)
-    fast = median_time(lambda: run(False), repeats)
-    slow = median_time(lambda: run(True), repeats)
-    same = np.allclose(run(False), run(True), rtol=1e-12, atol=1e-12)
-    return fast, slow, same
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--grid", type=int, nargs=3, default=(65, 65, 65),
                         metavar=("NR", "N1", "N2"))
-    parser.add_argument("--lines", type=int, default=4096)
-    parser.add_argument("--points", type=int, default=257)
     args = parser.parse_args()
 
     print(f"numba available: {NUMBA_AVAILABLE}; compiled path active: {USE_NUMBA}")
-    print(f"grid layer shape {tuple(args.grid)}, moreau {args.lines}x{args.points}, "
-          f"median of {args.repeats}")
+    print(f"grid layer shape {tuple(args.grid)}, median of {args.repeats}")
 
     fast, slow, same = bench_layer(tuple(args.grid), args.repeats)
     print(f"hjb_layer    compiled {fast*1e3:8.2f} ms   numpy {slow*1e3:8.2f} ms   "
-          f"speedup {slow/fast:5.1f}x   agree={same}")
-
-    fast, slow, same = bench_moreau(args.lines, args.points, args.repeats)
-    print(f"moreau_lines compiled {fast*1e3:8.2f} ms   numpy {slow*1e3:8.2f} ms   "
           f"speedup {slow/fast:5.1f}x   agree={same}")
 
 

@@ -1,7 +1,8 @@
 """Optional numba acceleration shim.
 
-Hot kernels are written twice: a numba ``@njit`` version and a pure-numpy
-fallback.  Which one runs is decided once at import time:
+The grid layer sweep (`_kernels.hjb_layer`) is written twice: a numba
+``@njit`` version and a pure-numpy fallback.  Which one runs is decided
+once at import time:
 
 * numba missing  -> numpy fallback,
 * ``GRAPHWHS_NO_NUMBA`` set to a non-empty value -> numpy fallback,

@@ -1,11 +1,12 @@
 """Hot numeric kernels: grid-solver layer sweeps and Moreau line transforms.
 
-Each kernel exists twice, a numba ``@njit(parallel=...)`` version and a
+The layer sweep exists twice, a numba ``@njit(parallel=...)`` version and a
 vectorized numpy fallback; `_accel.USE_NUMBA` picks one at import.  Both
-backends implement the identical arithmetic and agree to rounding error,
-which the test suite asserts.  Parallel loops treat grid cells
-independently (reads only from the previous layer), so results do not
-depend on the thread count.
+implement the identical arithmetic and agree to rounding error, which the
+test suite asserts.  The parallel loop treats grid cells independently
+(reads only from the previous layer), so results do not depend on the
+thread count.  The Moreau line transform is numpy only; it is bound by
+memory traffic, and a compiled twin measured break-even against it.
 """
 
 from __future__ import annotations
@@ -135,36 +136,22 @@ def hjb_layer(U, a_r, b1, b2, g_field, sig1sq, sig2sq, hr, h1, h2, dt, ell, c,
 # sup-convolution.  out[:, i] = max_j vals[:, j] - weight (c_i - c_j)^2 / (2 theta).
 # ---------------------------------------------------------------------------
 
-def _moreau_lines_numpy(vals, coords, weight, theta):
-    m = coords.size
-    pen = weight * (coords[:, None] - coords[None, :]) ** 2 / (2.0 * theta)
-    out = np.empty_like(vals)
-    for i in range(m):
-        out[:, i] = (vals - pen[i][None, :]).max(axis=1)
-    return out
+def moreau_lines(vals: np.ndarray, coords: np.ndarray, weight: float, theta: float) -> np.ndarray:
+    """Row-wise quadratic sup-envelope along one grid axis.
 
-
-@njit(cache=True, parallel=True)
-def _moreau_lines_numba(vals, coords, weight, theta):  # pragma: no cover - numba path
-    L, m = vals.shape
-    out = np.empty_like(vals)
-    for r in prange(L):
-        for i in range(m):
-            best = -np.inf
-            for j in range(m):
-                d = coords[i] - coords[j]
-                cand = vals[r, j] - weight * d * d / (2.0 * theta)
-                if cand > best:
-                    best = cand
-            out[r, i] = best
-    return out
-
-
-def moreau_lines(vals: np.ndarray, coords: np.ndarray, weight: float, theta: float,
-                 force_numpy: bool = False) -> np.ndarray:
-    """Row-wise quadratic sup-envelope along one grid axis."""
-    vals = np.ascontiguousarray(vals, dtype=float)
+    Works on the (m, lines) transpose, so the loop over source points j
+    folds one contiguous candidate block vals[:, j] - pen[i, j] into the
+    running maximum of every output point i at once.  A max is exact, so
+    the order of the sweep does not change the result.  The transpose is
+    free when ``vals`` is itself the transpose of a C-contiguous array, and
+    the result comes back in that layout.
+    """
+    vt = np.ascontiguousarray(np.asarray(vals, dtype=float).T)
     coords = np.ascontiguousarray(coords, dtype=float)
-    if USE_NUMBA and not force_numpy:
-        return _moreau_lines_numba(vals, coords, float(weight), float(theta))
-    return _moreau_lines_numpy(vals, coords, float(weight), float(theta))
+    pen = float(weight) * (coords[:, None] - coords[None, :]) ** 2 / (2.0 * float(theta))
+    out = vt[0][None, :] - pen[:, 0][:, None]
+    tmp = np.empty_like(out)
+    for j in range(1, coords.size):
+        np.subtract(vt[j][None, :], pen[:, j][:, None], out=tmp)
+        np.maximum(out, tmp, out=out)
+    return out.T

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,12 @@ def _cfl_record(grid: SimplexGrid, energy: EnergySpec, ell: float) -> dict:
     }
 
 
+# A grid artifact directory holds metadata.json and the value array as one
+# binary .npy file; schema 1 stored one CSV per time layer.
+ARTIFACT_SCHEMA = 2
+VALUES_FILE = "values.npy"
+
+
 def _fingerprint(obj) -> str:
     def clean(v):
         if isinstance(v, np.ndarray):
@@ -366,30 +373,20 @@ class GridValueFunction:
         g = self.grid
         return (g.t_axis, g.rho1_axis, g.x1_axis, g.x2_axis)
 
+    @cached_property
+    def _interpolator(self) -> RegularGridInterpolator:
+        return RegularGridInterpolator(self.axes, self.values)
+
     def evaluate(self, t: float, rho1: float, x1: float, x2: float) -> float:
-        interp = RegularGridInterpolator(self.axes, self.values)
-        return float(interp(np.array([[t, rho1, x1, x2]]))[0])
+        return float(self._interpolator(np.array([[t, rho1, x1, x2]]))[0])
 
     def to_dir(self, path) -> None:
+        """Write ``values.npy`` (the whole (nt, nr, n1, n2) array) and ``metadata.json``."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        nt, nr, n1, n2 = self.grid.shape
-        idx = np.indices((nr, n1, n2)).reshape(3, -1).T
-        layer_files = []
-        for k in range(nt):
-            name = f"layer_{k:04d}.csv"
-            layer_files.append(name)
-            rows = np.column_stack([idx, self.values[k].reshape(-1)])
-            np.savetxt(
-                path / name,
-                rows,
-                fmt=("%d", "%d", "%d", "%.17g"),
-                delimiter=",",
-                header="rho1_index,x1_index,x2_index,value",
-                comments="",
-            )
+        np.save(path / VALUES_FILE, self.values, allow_pickle=False)
         meta = {
-            "schema": 1,
+            "schema": ARTIFACT_SCHEMA,
             "shape": list(self.grid.shape),
             "axes": {
                 "t": self.grid.t_axis.tolist(),
@@ -402,7 +399,6 @@ class GridValueFunction:
             "ell": self.ell,
             "cost_hash": _fingerprint(self.cost_spec) if self.cost_spec else None,
             "energy_hash": _fingerprint(self.energy) if self.energy else None,
-            "layer_files": layer_files,
         }
         (path / "metadata.json").write_text(json.dumps(meta, indent=2))
 
@@ -410,15 +406,25 @@ class GridValueFunction:
     def from_dir(cls, path, cost_spec=None, energy=None) -> "GridValueFunction":
         path = Path(path)
         meta = json.loads((path / "metadata.json").read_text())
+        if meta.get("schema") != ARTIFACT_SCHEMA:
+            raise DomainError(
+                f"grid artifact schema {meta.get('schema')!r} is not supported "
+                f"(expected {ARTIFACT_SCHEMA}); re-run `graph-whs hjb` to rewrite it"
+            )
         if cost_spec is not None and meta["cost_hash"] != _fingerprint(cost_spec):
             raise DomainError("cost spec does not match the stored fingerprint")
         if energy is not None and meta["energy_hash"] != _fingerprint(energy):
             raise DomainError("energy spec does not match the stored fingerprint")
-        nt, nr, n1, n2 = meta["shape"]
-        values = np.empty((nt, nr, n1, n2))
-        for k, name in enumerate(meta["layer_files"]):
-            rows = np.loadtxt(path / name, delimiter=",", skiprows=1)
-            values[k].reshape(-1)[:] = rows[:, 3]
+        try:
+            values = np.load(path / VALUES_FILE, allow_pickle=False)
+        except ValueError as exc:  # object arrays and pickles need allow_pickle
+            raise DomainError(f"{VALUES_FILE} is not a plain float64 array") from exc
+        if not isinstance(values, np.ndarray) or values.dtype != np.float64:
+            raise DomainError(f"{VALUES_FILE} is not a plain float64 array")
+        if list(values.shape) != meta["shape"]:
+            raise DomainError(
+                f"{VALUES_FILE} has shape {list(values.shape)}, metadata says {meta['shape']}"
+            )
         grid = SimplexGrid(
             t_axis=np.asarray(meta["axes"]["t"]),
             rho1_axis=np.asarray(meta["axes"]["rho1"]),
@@ -572,29 +578,27 @@ def metric_weights_for_value(n: int = 2) -> tuple:
     return (1.0, float(n)) + (1.0,) * n
 
 
-def sup_convolution(values: Array, axes, theta: float, weights=None,
-                    force_numpy: bool = False) -> Array:
+def sup_convolution(values: Array, axes, theta: float, weights=None) -> Array:
     """max over grid points w of values(w) - sum_z c_z (z - w)^2 / (2 theta)."""
     if not 0.0 < theta:
         raise DomainError("theta must be positive")
-    out = np.array(values, dtype=float, copy=True)
+    out = np.asarray(values, dtype=float)
     w = _axis_weights(out.ndim, weights)
     for axis in range(out.ndim):
         coords = np.asarray(axes[axis], dtype=float)
         if coords.size != out.shape[axis]:
             raise DomainError("axis coordinates do not match the value shape")
-        moved = np.moveaxis(out, axis, -1)
-        flat = moved.reshape(-1, coords.size)
-        flat = moreau_lines(flat, coords, w[axis], theta, force_numpy=force_numpy)
-        out = np.moveaxis(flat.reshape(moved.shape), -1, axis)
-    return out
+        # Lines along `axis` as the transpose of a C-contiguous (m, lines)
+        # block, the layout moreau_lines sweeps without a copy.
+        front = np.moveaxis(out, axis, 0)
+        lines = moreau_lines(front.reshape(coords.size, -1).T, coords, w[axis], theta)
+        out = np.moveaxis(lines.T.reshape(front.shape), 0, axis)
+    return np.ascontiguousarray(out)
 
 
-def inf_convolution(values: Array, axes, theta: float, weights=None,
-                    force_numpy: bool = False) -> Array:
+def inf_convolution(values: Array, axes, theta: float, weights=None) -> Array:
     """min over grid points w of values(w) + sum_z c_z (z - w)^2 / (2 theta)."""
-    return -sup_convolution(-np.asarray(values, dtype=float), axes, theta,
-                            weights, force_numpy=force_numpy)
+    return -sup_convolution(-np.asarray(values, dtype=float), axes, theta, weights)
 
 
 def semiconvexity_defect(conv: Array, axes, theta: float, weights=None) -> float:

@@ -209,8 +209,8 @@ def test_hjb_and_convolve_artifacts(tmp_path):
     assert summary["cfl"]["cfl_number"] <= 1.0
     assert summary["min"] <= summary["max"]
     meta = json.loads((run / "grid" / "metadata.json").read_text())
-    assert len(meta["layer_files"]) == 16
-    assert (run / "grid" / "layer_0000.csv").exists()
+    assert meta["schema"] == 2
+    assert np.load(run / "grid" / "values.npy").shape == (16, 9, 9, 9)
     assert main(["convolve", "--config", path]) == 0
     rows = json.loads(
         (only_dir(out, "convolve-") / "convolve.json").read_text()

@@ -1,5 +1,11 @@
+import json
+import pickle
+
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
+
+from graphwhs._kernels import moreau_lines
 
 from graphwhs.control import CostSpec, hamiltonian, legendre_fhat
 from graphwhs.energies import EnergySpec, dominant_array
@@ -251,34 +257,105 @@ def test_solver_backend_paths_agree():
     fast = hjb_solve_backward(grid, cost, energy, 1.0, force_numpy=False)
     slow = hjb_solve_backward(grid, cost, energy, 1.0, force_numpy=True)
     assert np.allclose(fast.values, slow.values, rtol=1e-13, atol=1e-13)
-    rng = np.random.default_rng(5)
-    vals = rng.normal(size=(6, 7, 8))
-    axes = [np.linspace(0, 1, 6), np.linspace(0, 1, 7), np.linspace(-1, 1, 8)]
-    a = sup_convolution(vals, axes, 0.07, force_numpy=False)
-    b = sup_convolution(vals, axes, 0.07, force_numpy=True)
-    assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
 
 
-def test_value_function_roundtrip_and_fingerprints(tmp_path):
+def test_moreau_lines_is_the_brute_force_envelope_bitwise():
+    def brute(vals, coords, weight, theta):
+        return np.array([
+            [np.max(row - weight * (z - coords) ** 2 / (2.0 * theta)) for z in coords]
+            for row in vals
+        ])
+
+    rng = np.random.default_rng(17)
+    for m in (1, 2, 48):
+        vals = rng.normal(size=(9, m))
+        coords = np.sort(rng.uniform(-1.0, 1.0, m))
+        out = moreau_lines(vals, coords, 1.7, 0.06)
+        assert out.tobytes() == brute(vals, coords, 1.7, 0.06).tobytes()
+    # Ties: equal candidates from several source points, and a flat line.
+    coords = np.linspace(-1.0, 1.0, 5)
+    vals = np.array([[1.0, 0.0, 1.0, 0.0, 1.0], [0.25, 0.25, 0.25, 0.25, 0.25]])
+    out = moreau_lines(vals, coords, 1.0, 0.5)
+    assert out.tobytes() == brute(vals, coords, 1.0, 0.5).tobytes()
+
+
+def _saved_grid(tmp_path):
     energy = pair_energy()
     grid = SimplexGrid.build(energy, 1.0, 0.25, shape=(9, 9, 9, 16))
     cost = tracking_cost()
     gvf = hjb_solve_backward(grid, cost, energy, 1.0)
     gvf.to_dir(tmp_path / "grid")
-    back = GridValueFunction.from_dir(tmp_path / "grid", cost_spec=cost, energy=energy)
-    assert np.array_equal(back.values, gvf.values)
-    assert np.array_equal(back.grid.t_axis, grid.t_axis)
-    assert back.ell == 1.0
+    return gvf, cost, energy, tmp_path / "grid"
+
+
+def test_value_function_roundtrip_and_fingerprints(tmp_path):
+    gvf, cost, energy, path = _saved_grid(tmp_path)
+    assert sorted(p.name for p in path.iterdir()) == ["metadata.json", "values.npy"]
+    meta = json.loads((path / "metadata.json").read_text())
+    assert meta["schema"] == 2 and "layer_files" not in meta
+    back = GridValueFunction.from_dir(path, cost_spec=cost, energy=energy)
+    assert back.values.tobytes() == gvf.values.tobytes()
+    assert back.values.dtype == np.float64
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(back.axes, gvf.axes))
+    assert back.ell == gvf.ell and back.cfl == gvf.cfl
     other_cost = CostSpec(control_coeff=0.6)
     with pytest.raises(DomainError):
-        GridValueFunction.from_dir(tmp_path / "grid", cost_spec=other_cost)
+        GridValueFunction.from_dir(path, cost_spec=other_cost)
     other_energy = EnergySpec(graph=Graph.from_edges(2, [(0, 1, 2.0)]),
                               sigma=np.array([0.2, 0.2]))
     with pytest.raises(DomainError):
-        GridValueFunction.from_dir(tmp_path / "grid", energy=other_energy)
-    detached = GridValueFunction.from_dir(tmp_path / "grid")
+        GridValueFunction.from_dir(path, energy=other_energy)
+    detached = GridValueFunction.from_dir(path)
     with pytest.raises(DomainError):
         hjb_residual(detached, [[4, 4, 4, 4]])
+
+
+def test_schema_1_grid_artifact_is_refused(tmp_path):
+    _, _, _, path = _saved_grid(tmp_path)
+    meta = json.loads((path / "metadata.json").read_text())
+    meta["schema"] = 1
+    meta["layer_files"] = [f"layer_{k:04d}.csv" for k in range(16)]
+    (path / "metadata.json").write_text(json.dumps(meta))
+    with pytest.raises(DomainError, match="graph-whs hjb"):
+        GridValueFunction.from_dir(path)
+
+
+def test_grid_artifact_shape_mismatch_is_refused(tmp_path):
+    gvf, _, _, path = _saved_grid(tmp_path)
+    np.save(path / "values.npy", gvf.values[:-1])
+    with pytest.raises(DomainError, match="metadata says"):
+        GridValueFunction.from_dir(path)
+
+
+def test_grid_artifact_refuses_object_and_pickled_values(tmp_path):
+    gvf, _, _, path = _saved_grid(tmp_path)
+    np.save(path / "values.npy", gvf.values.astype(object), allow_pickle=True)
+    with pytest.raises(DomainError, match="float64"):
+        GridValueFunction.from_dir(path)
+    (path / "values.npy").write_bytes(pickle.dumps(gvf.values))
+    with pytest.raises(DomainError, match="float64"):
+        GridValueFunction.from_dir(path)
+    np.save(path / "values.npy", gvf.values.astype(np.float32))
+    with pytest.raises(DomainError, match="float64"):
+        GridValueFunction.from_dir(path)
+
+
+def test_evaluate_reuses_one_interpolator():
+    energy = pair_energy()
+    grid = SimplexGrid.build(energy, 1.0, 0.25, shape=(9, 9, 9, 16))
+    gvf = hjb_solve_backward(grid, tracking_cost(), energy, 1.0)
+    rng = np.random.default_rng(23)
+    probes = np.column_stack([
+        rng.uniform(0.0, 0.25, 20), rng.uniform(0.1, 0.9, 20),
+        rng.uniform(-1.0, 1.0, 20), rng.uniform(-1.0, 1.0, 20),
+    ])
+    first = gvf.evaluate(*probes[0])
+    interp = gvf._interpolator
+    for p in probes:
+        fresh = RegularGridInterpolator(gvf.axes, gvf.values)(p[None, :])[0]
+        assert gvf.evaluate(*p) == float(fresh)
+    assert gvf._interpolator is interp
+    assert gvf.evaluate(*probes[0]) == first
 
 
 def test_residual_report():
