@@ -7,7 +7,6 @@ the associated dynamic-programming equation, with energy cutoffs and
 Moreau-envelope regularizations.
 """
 
-from ._accel import NUMBA_AVAILABLE, USE_NUMBA
 from .control import (
     BOUNDED_TRACKING,
     QUADRATIC_CONTROL,
@@ -102,5 +101,9 @@ from .waves import (
 )
 
 __version__ = "0.1.0"
+
+# Every kernel is numpy; the flags stay for tools that report the backend.
+NUMBA_AVAILABLE = False
+USE_NUMBA = False
 
 __all__ = [name for name in dir() if not name.startswith("_")]

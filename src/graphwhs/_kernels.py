@@ -1,19 +1,15 @@
 """Hot numeric kernels: grid-solver layer sweeps and Moreau line transforms.
 
-The layer sweep exists twice, a numba ``@njit(parallel=...)`` version and a
-vectorized numpy fallback; `_accel.USE_NUMBA` picks one at import.  Both
-implement the identical arithmetic and agree to rounding error, which the
-test suite asserts.  The parallel loop treats grid cells independently
-(reads only from the previous layer), so results do not depend on the
-thread count.  The Moreau line transform is numpy only; it is bound by
-memory traffic, and a compiled twin measured break-even against it.
+Both are vectorized numpy.  The layer sweep treats grid cells independently
+(it reads only from the previous layer).  The Moreau line transform is bound
+by memory traffic.  ``fhat_norm`` is the one closed form of the
+ball-constrained Legendre transform; ``control`` and the layer sweep both
+use it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ._accel import USE_NUMBA, njit, prange
 
 
 # ---------------------------------------------------------------------------
@@ -28,12 +24,12 @@ from ._accel import USE_NUMBA, njit, prange
 # keeps the interior stencil monotone under the recorded time-step bound.
 # ---------------------------------------------------------------------------
 
-def _fhat_norm(qn, c, ell):
-    # sup_{|V|<=ell} <q,V> - c|V|^2, as a function of |q|.
+def fhat_norm(qn, c, ell):
+    """sup_{|V| <= ell} <q, V> - c |V|^2 as a function of |q| (elementwise)."""
     return np.where(qn <= 2.0 * c * ell, qn * qn / (4.0 * c), ell * qn - c * ell * ell)
 
 
-def _slopes_numpy(U: np.ndarray, h: float, axis: int):
+def _slopes(U: np.ndarray, h: float, axis: int):
     d = np.diff(U, axis=axis) / h
     first = d.take([0], axis=axis)
     last = d.take([-1], axis=axis)
@@ -42,7 +38,7 @@ def _slopes_numpy(U: np.ndarray, h: float, axis: int):
     return Dp, Dm
 
 
-def _second_numpy(U: np.ndarray, axis: int) -> np.ndarray:
+def _second(U: np.ndarray, axis: int) -> np.ndarray:
     out = np.zeros_like(U)
     m = U.shape[axis]
     hi = U.take(range(2, m), axis=axis)
@@ -54,81 +50,25 @@ def _second_numpy(U: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _hjb_layer_numpy(U, a_r, b1, b2, g_field, sig1sq, sig2sq,
-                     hr, h1, h2, dt, ell, c):
-    Dpr, Dmr = _slopes_numpy(U, hr, 0)
-    Dp1, Dm1 = _slopes_numpy(U, h1, 1)
-    Dp2, Dm2 = _slopes_numpy(U, h2, 2)
+def hjb_layer(U, a_r, b1, b2, g_field, sig1sq, sig2sq, hr, h1, h2, dt, ell, c):
+    """One explicit backward step of the monotone scheme on a (nr, n1, n2) layer."""
+    Dpr, Dmr = _slopes(U, hr, 0)
+    Dp1, Dm1 = _slopes(U, h1, 1)
+    Dp2, Dm2 = _slopes(U, h2, 2)
     transport = (
         np.maximum(a_r, 0.0) * Dpr + np.minimum(a_r, 0.0) * Dmr
         + np.maximum(b1, 0.0) * Dp1 + np.minimum(b1, 0.0) * Dm1
         + np.maximum(b2, 0.0) * Dp2 + np.minimum(b2, 0.0) * Dm2
     )
-    s1 = _second_numpy(U, 1)
-    s2 = _second_numpy(U, 2)
+    s1 = _second(U, 1)
+    s2 = _second(U, 2)
     diffusion = 0.5 * sig1sq * s1 / (h1 * h1) + 0.5 * sig2sq * s2 / (h2 * h2)
     viscosity = ell * s1 / (2.0 * h1) + ell * s2 / (2.0 * h2)
     q1 = 0.5 * (Dp1 + Dm1)
     q2 = 0.5 * (Dp2 + Dm2)
     qn = np.sqrt(q1 * q1 + q2 * q2)
-    fhat = _fhat_norm(qn, c, ell) - g_field
+    fhat = fhat_norm(qn, c, ell) - g_field
     return U + dt * (transport + diffusion + viscosity - fhat)
-
-
-@njit(cache=True, parallel=True)
-def _hjb_layer_numba(U, a_r, b1, b2, g_field, sig1sq, sig2sq,
-                     hr, h1, h2, dt, ell, c):  # pragma: no cover - numba path
-    nr, n1, n2 = U.shape
-    out = np.empty_like(U)
-    for i in prange(nr):
-        for j in range(n1):
-            for l in range(n2):
-                u = U[i, j, l]
-                dpr = (U[i + 1, j, l] - u) / hr if i + 1 < nr else (u - U[i - 1, j, l]) / hr
-                dmr = (u - U[i - 1, j, l]) / hr if i > 0 else dpr
-                if i + 1 >= nr:
-                    dpr = dmr
-                dp1 = (U[i, j + 1, l] - u) / h1 if j + 1 < n1 else (u - U[i, j - 1, l]) / h1
-                dm1 = (u - U[i, j - 1, l]) / h1 if j > 0 else dp1
-                if j + 1 >= n1:
-                    dp1 = dm1
-                dp2 = (U[i, j, l + 1] - u) / h2 if l + 1 < n2 else (u - U[i, j, l - 1]) / h2
-                dm2 = (u - U[i, j, l - 1]) / h2 if l > 0 else dp2
-                if l + 1 >= n2:
-                    dp2 = dm2
-
-                a = a_r[i, j, l]
-                v1 = b1[i, j, l]
-                v2 = b2[i, j, l]
-                transport = (
-                    (max(a, 0.0) * dpr + min(a, 0.0) * dmr)
-                    + (max(v1, 0.0) * dp1 + min(v1, 0.0) * dm1)
-                    + (max(v2, 0.0) * dp2 + min(v2, 0.0) * dm2)
-                )
-                s1 = U[i, j + 1, l] - 2.0 * u + U[i, j - 1, l] if 0 < j < n1 - 1 else 0.0
-                s2 = U[i, j, l + 1] - 2.0 * u + U[i, j, l - 1] if 0 < l < n2 - 1 else 0.0
-                diffusion = 0.5 * sig1sq * s1 / (h1 * h1) + 0.5 * sig2sq * s2 / (h2 * h2)
-                viscosity = ell * s1 / (2.0 * h1) + ell * s2 / (2.0 * h2)
-                q1 = 0.5 * (dp1 + dm1)
-                q2 = 0.5 * (dp2 + dm2)
-                qn = np.sqrt(q1 * q1 + q2 * q2)
-                if qn <= 2.0 * c * ell:
-                    fhat = qn * qn / (4.0 * c)
-                else:
-                    fhat = ell * qn - c * ell * ell
-                fhat -= g_field[i, j, l]
-                out[i, j, l] = u + dt * (transport + diffusion + viscosity - fhat)
-    return out
-
-
-def hjb_layer(U, a_r, b1, b2, g_field, sig1sq, sig2sq, hr, h1, h2, dt, ell, c,
-              force_numpy: bool = False):
-    """One explicit backward step of the monotone scheme on a (nr, n1, n2) layer."""
-    args = (U, a_r, b1, b2, g_field, float(sig1sq), float(sig2sq),
-            float(hr), float(h1), float(h2), float(dt), float(ell), float(c))
-    if USE_NUMBA and not force_numpy:
-        return _hjb_layer_numba(*args)
-    return _hjb_layer_numpy(*args)
 
 
 # ---------------------------------------------------------------------------

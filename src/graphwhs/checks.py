@@ -555,16 +555,14 @@ def criterion_11() -> CheckResult:
         sig = 0.04
         denom = 1.0 / hr + 2.3 / h1 + 2.3 / h2 + sig / h1**2 + sig / h2**2 + 1.0 / h1 + 1.0 / h2
         dt = 0.9 / denom
-        base = hjb_layer(U, a, b1, b2, gf, sig, sig, hr, h1, h2, dt, 1.0, 0.5,
-                         force_numpy=True)
+        base = hjb_layer(U, a, b1, b2, gf, sig, sig, hr, h1, h2, dt, 1.0, 0.5)
         idx = tuple(rng.integers(1, 4, 3))
         nb = list(idx)
         axis = int(rng.integers(0, 3))
         nb[axis] += int(rng.choice([-1, 1]))
         Up = U.copy()
         Up[tuple(nb)] += float(rng.uniform(0.01, 0.5))
-        bumped = hjb_layer(Up, a, b1, b2, gf, sig, sig, hr, h1, h2, dt, 1.0, 0.5,
-                           force_numpy=True)
+        bumped = hjb_layer(Up, a, b1, b2, gf, sig, sig, hr, h1, h2, dt, 1.0, 0.5)
         drop = base[idx] - bumped[idx]
         worst_drop = max(worst_drop, float(drop))
         violations += drop > 1e-12

@@ -54,6 +54,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
+from ._kernels import fhat_norm
 from .dynamics import (
     EscapeQuotaError,
     Noise,
@@ -172,19 +173,13 @@ def legendre_fhat(spec: CostSpec, t, rho, x, q, ell: float) -> float:
     q = np.asarray(q, dtype=float)
     if spec.custom_running is not None:
         return _fhat_ascent(spec, t, rho, x, q, ell)
-    c = spec.control_coeff
     qn = float(np.sqrt((q**2).sum()))
-    if qn <= 2.0 * c * ell:
-        best = qn * qn / (4.0 * c)
-    else:
-        best = ell * qn - c * ell * ell
-    return best - float(spec.state_cost(t, rho, x))
+    return float(fhat_on_norms(spec, qn, ell)) - float(spec.state_cost(t, rho, x))
 
 
 def fhat_on_norms(spec: CostSpec, qn: Array, ell: float) -> Array:
     """Closed-form Fhat as a function of ||q|| only (state part excluded)."""
-    c = spec.control_coeff
-    return np.where(qn <= 2.0 * c * ell, qn * qn / (4.0 * c), ell * qn - c * ell * ell)
+    return fhat_norm(qn, spec.control_coeff, ell)
 
 
 def _fhat_ascent(spec: CostSpec, t, rho, x, q, ell, starts: int = 8, iters: int = 200) -> float:
@@ -226,6 +221,13 @@ def _fhat_ascent(spec: CostSpec, t, rho, x, q, ell, starts: int = 8, iters: int 
     return best
 
 
+def _drift_pairing(energy: EnergySpec, rho: Array, x: Array, p, q, Q) -> float:
+    """<p, dH0/dx> - <q, dH0/drho> + 1/2 tr(sigma sigma^T Q)."""
+    d_rho, d_x = gradient_arrays(energy, rho, x)
+    quad = 0.5 * float(energy.sigma**2 @ np.diag(np.asarray(Q)))
+    return float(np.asarray(p) @ d_x) - float(np.asarray(q) @ d_rho) + quad
+
+
 def hamiltonian(
     cost: CostSpec,
     energy: EnergySpec,
@@ -243,29 +245,25 @@ def hamiltonian(
     Q = np.asarray(Q, dtype=float)
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ShapeError("Q must be symmetric")
-    d_rho, d_x = gradient_arrays(energy, rho_arr, x_arr)
-    quad = 0.5 * float(energy.sigma**2 @ np.diag(Q))
-    return (
-        float(np.asarray(p) @ d_x)
-        - float(np.asarray(q) @ d_rho)
-        + quad
-        - legendre_fhat(cost, t, rho_arr, x_arr, q, ell)
+    return _drift_pairing(energy, rho_arr, x_arr, p, q, Q) - legendre_fhat(
+        cost, t, rho_arr, x_arr, q, ell
     )
 
 
 def control_hamiltonian_integrand(
     cost: CostSpec, energy: EnergySpec, t, rho, x, p, q, Q: Array, V
 ) -> float:
-    """The pre-infimum functional at one control value (brute-force oracle hook)."""
+    """The pre-infimum functional at one control value (brute-force oracle hook).
+
+    hamiltonian is its infimum over the control ball: the drift pairing,
+    minus <q, V>, plus the running cost F(t, rho, x, V).
+    """
     rho_arr = np.asarray(getattr(rho, "rho", rho), dtype=float)
     x_arr = np.asarray(getattr(x, "s", x), dtype=float)
-    d_rho, d_x = gradient_arrays(energy, rho_arr, x_arr)
     V = np.asarray(V, dtype=float)
-    quad = 0.5 * float(energy.sigma**2 @ np.diag(np.asarray(Q)))
     return (
-        float(np.asarray(p) @ d_x)
-        - float(np.asarray(q) @ (d_rho + V))
-        + quad
+        _drift_pairing(energy, rho_arr, x_arr, p, q, Q)
+        - float(np.asarray(q) @ V)
         + float(running_cost(cost, t, rho_arr, x_arr, V))
     )
 

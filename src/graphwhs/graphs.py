@@ -4,7 +4,16 @@ Conventions
 -----------
 * Vertices are 0..n-1.  Edge weights live in a dense symmetric matrix
   ``omega`` with zero diagonal; ``omega[i, j] > 0`` iff {i, j} is an edge.
-  Graphs must be connected.  Dense storage caps n at 64.
+  Graphs must be connected.  Dense storage caps n at 64 (the transport path
+  still solves a dense n x n Laplacian).
+* Edge-local quantities are computed on the oriented edge list
+  ``Graph.edge_list``: both orientations (i, j) and (j, i) of every edge,
+  sorted by tail i and then by head j, with per-edge omega, built once per
+  graph.  Arrays of edge terms have shape (..., E), so a drift evaluation
+  costs O(|E|) per state rather than O(n^2).  ``EdgeList.vertex_sum`` folds
+  each vertex's terms from 0.0 in head order, the order numpy sums a dense
+  row of fewer than 8 entries; for n < 8 the per-vertex sums therefore equal
+  the masked dense row sums bitwise.
 * Densities rho are strictly interior points of the probability simplex;
   construction rejects components at or below a floor (default 1e-9),
   because the Fisher-type energies blow up at the boundary.
@@ -28,7 +37,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -114,6 +124,11 @@ class Graph:
     def edge_mask(self) -> Array:
         return self.omega > 0.0
 
+    @cached_property
+    def edge_list(self) -> "EdgeList":
+        """The oriented edge arrays, built once per graph."""
+        return EdgeList.build(self.omega)
+
     @property
     def sqrt_omega(self) -> Array:
         return np.sqrt(self.omega)
@@ -143,6 +158,64 @@ class Graph:
     def to_json(self) -> str:
         doc = {"n": self.n, "edges": [[i, j, self.omega[i, j]] for i, j in self.edges]}
         return json.dumps(doc)
+
+
+class EdgeList(NamedTuple):
+    """Both orientations of every edge, sorted by tail and then by head.
+
+    ``first`` and ``folds`` plan ``vertex_sum``: the edge holding each
+    vertex's first neighbour (None when that is edge v itself), then, for
+    each later neighbour slot, the vertices that have one (None for all) and
+    their edges.  Every array is read-only.
+    """
+
+    n: int
+    ii: Array
+    jj: Array
+    omega: Array
+    first: Array | None
+    folds: tuple
+
+    @classmethod
+    def build(cls, omega: Array) -> "EdgeList":
+        n = omega.shape[0]
+        ii, jj = np.nonzero(omega > 0.0)
+        degree = np.bincount(ii, minlength=n)
+        starts = np.searchsorted(ii, np.arange(n))
+        first = None if np.array_equal(starts, np.arange(ii.size)) else starts
+        folds = []
+        for k in range(1, int(degree.max(initial=0))):
+            verts = np.flatnonzero(degree > k)
+            folds.append((None if verts.size == n else _frozen(verts), _frozen(starts[verts] + k)))
+        return cls(
+            n, _frozen(ii), _frozen(jj), _readonly(omega[ii, jj]),
+            None if first is None else _frozen(first), tuple(folds),
+        )
+
+    def vertex_sum(self, terms: Array) -> Array:
+        """(..., n) sums of (..., E) edge terms, each folded from 0.0 in head order."""
+        if self.ii.size == 0:
+            return np.zeros(terms.shape[:-1] + (self.n,), dtype=terms.dtype)
+        out = (terms if self.first is None else terms[..., self.first]) + 0.0
+        for verts, edges in self.folds:
+            if verts is None:
+                out += terms[..., edges]
+            else:
+                out[..., verts] += terms[..., edges]
+        return out
+
+    def laplacian(self, a: Array) -> Array:
+        """Dense n x n Laplacian diag(row sums) - A for edge weights a of shape (E,)."""
+        L = np.zeros((self.n, self.n))
+        L[self.ii, self.jj] = -a
+        L.flat[:: self.n + 1] = self.vertex_sum(a)
+        return L
+
+
+def _frozen(a: Array) -> Array:
+    a = np.array(a, dtype=np.intp)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -238,60 +311,72 @@ def weight_eval(w: ProbabilityWeight, t, r):
     r = np.asarray(r, dtype=float)
     if np.any(t < 0.0) or np.any(r < 0.0):
         raise DomainError("probability weights take nonnegative arguments")
-    if w.kind == AVERAGE:
-        out = 0.5 * (t + r)
-    elif w.kind == HARMONIC:
-        s = t + r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(t * r > 0.0, 2.0 * t * r / np.where(s > 0.0, s, 1.0), 0.0)
-    else:
-        # Logarithmic mean (t - r) / (log t - log r); the limit is the
-        # midpoint (through second order) when the arguments nearly agree,
-        # and 0 when either argument vanishes.  log1p of the gap over the
-        # smaller argument is exactly symmetric and fully accurate right up
-        # to the midpoint branch (the gap itself is exact by Sterbenz).
-        hi = np.maximum(t, r)
-        lo = np.minimum(t, r)
-        near = hi - lo <= w.tolerance * hi
-        pos = lo > 0.0
-        diff = np.where(pos & ~near, hi - lo, 0.0)
-        safe_lo = np.where(pos & ~near, lo, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = diff / np.log1p(diff / safe_lo)
-        out = np.where(near, 0.5 * (t + r), out)
-        out = np.where(pos, out, 0.0)
+    out = _mean(w, t, r)
     return out if out.ndim else float(out)
 
 
+def _mean(w: ProbabilityWeight, t: Array, r: Array) -> Array:
+    # g(t, r) on float arrays whose domain the caller has checked.  Each
+    # kind is symmetric bit for bit (the harmonic mean's factor 2 is exact),
+    # so an edge gets the same g in both orientations.
+    if w.kind == AVERAGE:
+        return 0.5 * (t + r)
+    if w.kind == HARMONIC:
+        s = t + r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(t * r > 0.0, 2.0 * t * r / np.where(s > 0.0, s, 1.0), 0.0)
+    # Logarithmic mean (t - r) / (log t - log r); the limit is the midpoint
+    # (through second order) when the arguments nearly agree, and 0 when
+    # either argument vanishes.  log1p of the gap over the smaller argument
+    # is exactly symmetric and fully accurate right up to the midpoint
+    # branch (the gap itself is exact by Sterbenz).
+    hi = np.maximum(t, r)
+    lo = np.minimum(t, r)
+    near = hi - lo <= w.tolerance * hi
+    pos = lo > 0.0
+    diff = np.where(pos & ~near, hi - lo, 0.0)
+    safe_lo = np.where(pos & ~near, lo, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = diff / np.log1p(diff / safe_lo)
+    out = np.where(near, 0.5 * (t + r), out)
+    return np.where(pos, out, 0.0)
+
+
 def weight_partial(w: ProbabilityWeight, t, r):
-    """Analytic partials (dg/dt, dg/dr) for strictly positive arguments."""
+    """Analytic partials (dg/dt, dg/dr) for strictly positive arguments.
+
+    g is symmetric, so dg/dr(t, r) is dg/dt(r, t).
+    """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if np.any(t <= 0.0) or np.any(r <= 0.0):
         raise DomainError("weight partials need strictly positive arguments")
-    if w.kind == AVERAGE:
-        gt = np.full(np.broadcast(t, r).shape, 0.5)
-        gr = gt.copy()
-    elif w.kind == HARMONIC:
-        s = t + r
-        gt = 2.0 * r**2 / s**2
-        gr = 2.0 * t**2 / s**2
-    else:
-        hi = np.maximum(t, r)
-        near = np.abs(t - r) <= w.tolerance * hi
-        safe_t = np.where(near, 1.0, t)
-        safe_r = np.where(near, 2.0, r)
-        L = np.log(safe_t / safe_r)
-        g = (safe_t - safe_r) / L
-        gt = (1.0 - g / safe_t) / L
-        gr = (g / safe_r - 1.0) / L
-        # Series branch: g_t = 1/2 - x/6 + O(x^2), x = (t - r)/(t + r).
-        x = (t - r) / (t + r)
-        gt = np.where(near, 0.5 - x / 6.0, gt)
-        gr = np.where(near, 0.5 + x / 6.0, gr)
-    if gt.ndim:
-        return gt, gr
+    shape = np.broadcast(t, r).shape
+    gt = np.broadcast_to(_mean_dt(w, t, r), shape)
+    gr = np.broadcast_to(_mean_dt(w, r, t), shape)
+    if shape:
+        return gt.copy(), gr.copy()
     return float(gt), float(gr)
+
+
+def _mean_dt(w: ProbabilityWeight, t: Array, r: Array):
+    # dg/dt on strictly positive float arrays the caller has checked; a
+    # scalar for the arithmetic mean, whose partial is constant.
+    if w.kind == AVERAGE:
+        return 0.5
+    if w.kind == HARMONIC:
+        s = t + r
+        return 2.0 * r**2 / s**2
+    hi = np.maximum(t, r)
+    near = np.abs(t - r) <= w.tolerance * hi
+    safe_t = np.where(near, 1.0, t)
+    safe_r = np.where(near, 2.0, r)
+    L = np.log(safe_t / safe_r)
+    g = (safe_t - safe_r) / L
+    gt = (1.0 - g / safe_t) / L
+    # Series branch: g_t = 1/2 - x/6 + O(x^2), x = (t - r)/(t + r).
+    x = (t - r) / (t + r)
+    return np.where(near, 0.5 - x / 6.0, gt)
 
 
 def weight_matrix(G: Graph, w: ProbabilityWeight, rho: Array) -> Array:
@@ -345,9 +430,10 @@ class PathResult(NamedTuple):
 
 
 def _mobility_laplacian(G: Graph, w: ProbabilityWeight, rho: Array) -> Array:
-    g = weight_matrix(G, w, rho)
-    a = G.omega * g
-    return np.diag(a.sum(axis=1)) - a
+    if (rho < 0.0).any():
+        raise DomainError("probability weights take nonnegative arguments")
+    e = G.edge_list
+    return e.laplacian(e.omega * _mean(w, rho[e.ii], rho[e.jj]))
 
 
 def _interval_action(G, w, mid: Array, vel: Array):
@@ -362,9 +448,11 @@ def _interval_action(G, w, mid: Array, vel: Array):
 
 def _kinetic_rho_partial(G: Graph, w: ProbabilityWeight, rho: Array, phi: Array) -> Array:
     # d/d rho_a of sum_edges omega (phi_i - phi_j)^2 g_ij(rho).
-    gt, _ = weight_partial(w, rho[:, None], rho[None, :])
-    diff2 = (phi[:, None] - phi[None, :]) ** 2
-    return (np.where(G.edge_mask, G.omega * diff2 * gt, 0.0)).sum(axis=1)
+    if (rho <= 0.0).any():
+        raise DomainError("weight partials need strictly positive arguments")
+    e = G.edge_list
+    diff2 = (phi[e.ii] - phi[e.jj]) ** 2
+    return e.vertex_sum(e.omega * diff2 * _mean_dt(w, rho[e.ii], rho[e.jj]))
 
 
 def wasserstein_path(

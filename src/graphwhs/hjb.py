@@ -35,8 +35,8 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.special import expit
 
-from ._kernels import hjb_layer, moreau_lines
-from .control import CostSpec, _fhat_ascent, fhat_on_norms, hamiltonian
+from ._kernels import fhat_norm, hjb_layer, moreau_lines
+from .control import CostSpec, _fhat_ascent, hamiltonian
 from .energies import EnergySpec, dominant_array, energy_gradients, gradient_arrays
 from .graphs import Array, DensityState, DomainError, MomentumState, frechet_project
 
@@ -184,8 +184,7 @@ def fhat_R(
         )
         return _fhat_ascent(scaled, t, rho_arr, x_arr, w, ell)
     wn = float(np.sqrt((w**2).sum()))
-    return float(fhat_on_norms(replace(spec, control_coeff=phi0 * spec.control_coeff),
-                               np.asarray(wn), ell)) - phi0 * float(
+    return float(fhat_norm(wn, phi0 * spec.control_coeff, ell)) - phi0 * float(
         spec.state_cost(t, rho_arr, x_arr)
     )
 
@@ -447,7 +446,6 @@ def hjb_solve_backward(
     spec: CostSpec,
     energy: EnergySpec,
     ell: float,
-    force_numpy: bool = False,
 ) -> GridValueFunction:
     """Backward sweep of the monotone explicit scheme from the terminal cost."""
     if spec.custom_running is not None:
@@ -477,7 +475,7 @@ def hjb_solve_backward(
         ).copy()
         values[k] = hjb_layer(
             values[k + 1], a_r, b1, b2, g_field, sig2[0], sig2[1],
-            hr, h1, h2, dt, ell, spec.control_coeff, force_numpy=force_numpy,
+            hr, h1, h2, dt, ell, spec.control_coeff,
         )
         if not np.isfinite(values[k]).all():
             raise NonFiniteError(k)

@@ -37,7 +37,6 @@ from .energies import (
     EnergySpec,
     POLYNOMIAL_INTERACTION,
     _LOG_MEAN,
-    sym_weight_matrix,
 )
 from .graphs import (
     Array,
@@ -46,7 +45,8 @@ from .graphs import (
     EPS_FLOOR,
     MomentumState,
     ShapeError,
-    weight_partial,
+    _mean,
+    _mean_dt,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -115,34 +115,32 @@ def nonlinear_laplacian(spec: EnergySpec, u: WaveState, s_prev: MomentumState | 
     log u is taken as 1/2 log rho + i S with S unwrapped (toward s_prev when
     given); the barrier bracket reuses the kinetic omega as its edge weight.
     """
+    # madelung_inverse returns a DensityState, so every rho_j is positive.
     rho, s = madelung_inverse(u, s_prev)
-    G = spec.graph
-    mask = G.edge_mask
+    e = spec.graph.edge_list
     r = rho.rho
+    ri = r[e.ii]
+    rj = r[e.jj]
 
-    # log u_j - log u_l split into real and imaginary parts.
-    lr = np.log(r)
-    d_re = 0.5 * (lr[:, None] - lr[None, :])
-    d_im = s.s[:, None] - s.s[None, :]
+    # log u_j - log u_l split into real and imaginary parts, per ordered edge.
+    d_re = 0.5 * (np.log(ri) - np.log(rj))
+    d_im = s.s[e.ii] - s.s[e.jj]
 
-    g = sym_weight_matrix(G, spec.weight, r)
-    gl = sym_weight_matrix(G, _LOG_MEAN, r)
-    gt, _ = weight_partial(spec.weight, r[:, None], r[None, :])
-    glt, _ = weight_partial(_LOG_MEAN, r[:, None], r[None, :])
-    gt = np.where(mask, gt, 0.0)
-    glt = np.where(mask, glt, 0.0)
+    g = _mean(spec.weight, ri, rj)
+    gl = _mean(_LOG_MEAN, ri, rj)
+    gt = _mean_dt(spec.weight, ri, rj)
+    glt = _mean_dt(_LOG_MEAN, ri, rj)
 
-    om = G.omega
-    bracket1 = (om * (d_re + 1j * d_im) * g).sum(axis=1) + (om * gl * d_re).sum(axis=1)
-    bracket2 = (om * gt * (d_re**2 + d_im**2)).sum(axis=1) + (om * glt * d_re**2).sum(axis=1)
+    om = e.omega
+    bracket1 = e.vertex_sum(om * (d_re + 1j * d_im) * g) + e.vertex_sum(om * gl * d_re)
+    bracket2 = e.vertex_sum(om * gt * (d_re**2 + d_im**2)) + e.vertex_sum(om * glt * d_re**2)
     return -(u.u / r) * bracket1 - u.u * bracket2
 
 
 def sse_nonlinearity(spec: EnergySpec, rho: Array) -> Array:
     """The variant's zeroth-order coefficient N_j (real)."""
     if spec.variant == POLYNOMIAL_INTERACTION:
-        wm = np.where(spec.graph.edge_mask, spec.interaction, 0.0)
-        return rho @ wm.T
+        return rho @ spec.edge_interaction.T
     return -np.log(rho)
 
 

@@ -23,11 +23,15 @@ from graphwhs.energies import (
 from graphwhs.graphs import (
     DensityState,
     DomainError,
+    EdgeList,
     Graph,
     HARMONIC,
     MomentumState,
     ProbabilityWeight,
     ShapeError,
+    WEIGHT_KINDS,
+    weight_eval,
+    weight_partial,
 )
 
 
@@ -122,8 +126,6 @@ def test_spec_guards():
         EnergySpec(graph=pair_graph(), sigma=np.ones(3))
     with pytest.raises(DomainError):
         EnergySpec(graph=pair_graph(), fisher_coeff=-0.1)
-    with pytest.raises(DomainError):
-        EnergySpec(graph=pair_graph(), tilde_weight_coupling=False)
     # Hyphenated variant names normalize.
     spec = EnergySpec(graph=pair_graph(), variant="Logarithmic-Entropy")
     assert spec.variant == LOGARITHMIC_ENTROPY
@@ -221,5 +223,155 @@ def test_array_core_broadcasts_over_batches():
 def test_sym_weight_matrix_is_exactly_symmetric():
     spec = EnergySpec(graph=path3(), weight=ProbabilityWeight("logarithmic"))
     g = sym_weight_matrix(spec.graph, spec.weight, np.array([0.31, 0.17, 0.52]))
-    assert np.array_equal(g, g.T)
-    assert g[0, 2] == 0.0
+    # Ordered edges (0, 1), (1, 0), (1, 2), (2, 1): one value per orientation.
+    assert g.shape == (4,)
+    assert g[0] == g[1] and g[2] == g[3]
+
+
+# ---------------------------------------------------------------------------
+# the edge-list core against the dense (n, n) formulation
+# ---------------------------------------------------------------------------
+
+def dense_reference(spec, rho, x):
+    """The dense masked (..., n, n) formulas the edge core replaced.
+
+    g is evaluated on the full vertex grid, masked to the edge set and its
+    upper triangle mirrored; every term keeps the multiplication order of
+    the edge core, and numpy sums each row (and each whole matrix).
+    """
+    G = spec.graph
+    mask = G.edge_mask
+    om = G.omega
+    g = weight_eval(spec.weight, rho[..., :, None], rho[..., None, :])
+    g = np.triu(np.where(mask, g, 0.0), k=1)
+    g = g + np.swapaxes(g, -1, -2)
+    xdiff = x[..., :, None] - x[..., None, :]
+    gt = weight_partial(spec.weight, rho[..., :, None], rho[..., None, :])[0]
+    gt = np.where(mask, gt, 0.0)
+    lr = np.log(rho)
+    ldiff = lr[..., :, None] - lr[..., None, :]
+    rdiff = rho[..., :, None] - rho[..., None, :]
+    barrier = np.where(mask, om * (ldiff + rdiff / rho[..., :, None]), 0.0).sum(axis=-1)
+    wm = np.where(mask, spec.interaction, 0.0)
+
+    d_rho = 0.5 * (om * xdiff**2 * gt).sum(axis=-1) + spec.fisher_coeff * barrier
+    h0 = 0.25 * (om * xdiff**2 * g).sum(axis=(-1, -2)) + spec.fisher_coeff * 0.5 * (
+        om * np.where(mask, rdiff * ldiff, 0.0)
+    ).sum(axis=(-1, -2))
+    if spec.variant == POLYNOMIAL_INTERACTION:
+        d_rho = d_rho + rho @ wm.T
+        h0 = h0 + 0.5 * np.einsum("...i,ij,...j->...", rho, wm, rho)
+    else:
+        d_rho = d_rho - lr
+        h0 = h0 - (rho * lr - rho).sum(axis=-1)
+    return {
+        "d_rho": d_rho,
+        "d_x": (om * xdiff * g).sum(axis=-1),
+        "barrier": barrier,
+        "g": g,
+        "h0": h0,
+        "hess": np.diag((om * g)[0].sum(axis=1)) - (om * g)[0],
+    }
+
+
+def mixed_graph(n):
+    """A ring (a path for n <= 3) with chords from vertex 0, so vertex 0 has degree >= 3 from n = 5."""
+    if n == 1:
+        return Graph(n=1, omega=np.zeros((1, 1)))
+    if n == 2:
+        return Graph.from_edges(2, [(0, 1, 1.3)])
+    edges = [(i, (i + 1) % n, 1.0 + 0.1 * i) for i in range(n if n > 3 else n - 1)]
+    edges += [(0, j, 0.5 + 0.05 * j) for j in range(2, n - 1)]
+    return Graph.from_edges(n, edges)
+
+
+def assert_matches(got, ref, bitwise, label):
+    assert got.shape == ref.shape, label
+    if bitwise:
+        assert got.tobytes() == ref.tobytes(), label
+    else:
+        scale = np.abs(ref).max(axis=-1, keepdims=True) if ref.ndim else abs(ref)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale), label
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 12])
+@pytest.mark.parametrize("variant", [POLYNOMIAL_INTERACTION, LOGARITHMIC_ENTROPY])
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+def test_edge_core_matches_dense_reference(n, variant, kind):
+    """Bitwise for n < 8 (numpy sums a dense row of < 8 entries left to right,
+    as ``vertex_sum`` does); within 1e-12 of the row's scale from n = 8, where
+    numpy sums a row pairwise.  The scalar H0 sums all ordered edges at once,
+    while the dense n x n reduction is pairwise from n = 3, so H0 is bitwise
+    at n <= 2 only."""
+    rng = np.random.default_rng(100 * n + 7)
+    G = mixed_graph(n)
+    if n >= 5:
+        assert int((G.omega[0] > 0).sum()) >= 3
+    raw = rng.normal(size=(n, n))
+    W = (raw + raw.T) / 2.0   # entries off the edge set too; they must be ignored
+    spec = EnergySpec(graph=G, variant=variant, weight=ProbabilityWeight(kind),
+                      interaction=W, fisher_coeff=0.3)
+    rho = rng.dirichlet(np.ones(n), size=40) if n > 1 else np.ones((40, 1))
+    rho = np.maximum(rho, 0.01)
+    rho /= rho.sum(axis=-1, keepdims=True)
+    rho[0, :2] = rho[0, 0]          # a near-equal pair takes the log mean's series branch
+    rho[0] /= rho[0].sum()
+    x = rng.normal(size=(40, n))
+    ref = dense_reference(spec, rho, x)
+    bitwise = n < 8
+
+    d_rho, d_x = gradient_arrays(spec, rho, x)
+    assert_matches(d_rho, ref["d_rho"], bitwise, "d_rho")
+    assert_matches(d_x, ref["d_x"], bitwise, "d_x")
+    assert_matches(fisher_rho_partial(spec, rho), ref["barrier"], bitwise, "barrier")
+    e = G.edge_list
+    assert_matches(sym_weight_matrix(G, spec.weight, rho), ref["g"][..., e.ii, e.jj], True, "g")
+    grads = energy_gradients(spec, DensityState(rho=rho[0]), MomentumState(s=x[0]))
+    assert_matches(grads.hess_x, ref["hess"], bitwise, "hess")
+    assert_matches(dominant_array(spec, rho, x), ref["h0"], n <= 2, "h0")
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25])
+def test_nonpositive_density_raises_domain_error(bad):
+    spec = EnergySpec(graph=path3())
+    x = np.zeros((2, 3))
+    rho = np.full((2, 3), 1.0 / 3.0)
+    rho[1, 2] = bad
+    for fn in (gradient_arrays, dominant_array):
+        with pytest.raises(DomainError):
+            fn(spec, rho, x)
+        with pytest.raises(DomainError):
+            fn(spec, rho[1], x[1])
+    with pytest.raises(DomainError):
+        fisher_rho_partial(spec, rho)
+
+
+def test_edge_arrays_are_read_only_and_built_once(monkeypatch):
+    builds = []
+    real = EdgeList.build.__func__
+
+    def counting(cls, omega):
+        builds.append(1)
+        return real(cls, omega)
+
+    monkeypatch.setattr(EdgeList, "build", classmethod(counting))
+    G = Graph.from_edges(4, [(2, 0, 1.0), (0, 1, 2.0), (1, 2, 0.5), (2, 3, 1.5)])
+    spec = EnergySpec(graph=G)
+    rho = np.full((3, 4), 0.25)
+    for _ in range(3):
+        gradient_arrays(spec, rho, np.zeros((3, 4)))
+        dominant_array(spec, rho, np.zeros((3, 4)))
+    e = G.edge_list
+    assert e is G.edge_list
+    assert len(builds) == 1
+    # Both orientations, sorted by tail and then head, with omega per edge.
+    pairs = list(zip(e.ii.tolist(), e.jj.tolist()))
+    assert pairs == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)]
+    assert e.omega.tolist() == [G.omega[i, j] for i, j in pairs]
+    arrays = [e.ii, e.jj, e.omega, e.first]
+    arrays += [a for fold in e.folds for a in fold if a is not None]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    assert not spec.edge_interaction.flags.writeable

@@ -250,15 +250,6 @@ def test_solver_guards():
                           ell=1.0, cfl={})
 
 
-def test_solver_backend_paths_agree():
-    energy = pair_energy()
-    grid = SimplexGrid.build(energy, 1.0, 0.25, shape=(9, 9, 9, 16))
-    cost = tracking_cost()
-    fast = hjb_solve_backward(grid, cost, energy, 1.0, force_numpy=False)
-    slow = hjb_solve_backward(grid, cost, energy, 1.0, force_numpy=True)
-    assert np.allclose(fast.values, slow.values, rtol=1e-13, atol=1e-13)
-
-
 def test_moreau_lines_is_the_brute_force_envelope_bitwise():
     def brute(vals, coords, weight, theta):
         return np.array([
