@@ -268,7 +268,7 @@ def criterion_3() -> CheckResult:
 # 4. mass conservation
 # ---------------------------------------------------------------------------
 
-def criterion_4(workers=None) -> CheckResult:
+def criterion_4() -> CheckResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     worst_tangent = 0.0
@@ -285,7 +285,7 @@ def criterion_4(workers=None) -> CheckResult:
     cfg = SdeConfig(energy=spec, T=1.0, dt=1e-3)
     rho0 = DensityState(rho=np.array([0.3, 0.45, 0.25]))
     x0 = MomentumState(s=np.array([0.2, -0.1, 0.3]))
-    _, rho_out, _, _, _, _, alive, _ = batch_arrays(cfg, rho0, x0, 100, 404, workers)
+    _, rho_out, _, _, _, _, alive, _ = batch_arrays(cfg, rho0, x0, 100, 404)
     mass_dev = float(np.abs(rho_out[alive].sum(axis=-1) - 1.0).max())
     d_x_path = gradient_arrays(spec, rho_out[alive], np.zeros_like(rho_out[alive]))[1]
     worst_tangent = max(worst_tangent, float(np.abs(d_x_path.sum(axis=-1)).max()))
@@ -355,14 +355,13 @@ def criterion_5() -> CheckResult:
 # 6. energy regularity scaling
 # ---------------------------------------------------------------------------
 
-def criterion_6(workers=None) -> CheckResult:
+def criterion_6() -> CheckResult:
     t0 = time.perf_counter()
     spec = benchmark_energy()
     rho0, x0 = benchmark_state()
     horizons = [2.0 ** (-k) for k in range(4, 9)]
     cfg = SdeConfig(energy=spec, T=max(horizons), dt=2.5e-4)
-    scan = regularity_scan(cfg, rho0, x0, horizons, n_paths=1000, master_seed=606,
-                           workers=workers)
+    scan = regularity_scan(cfg, rho0, x0, horizons, n_paths=1000, master_seed=606)
     ok = (not scan.degenerate) and 0.8 <= scan.slope <= 1.3
     return _result(
         6, "energy regularity scaling", t0, ok, f"log-log slope {scan.slope:.3f}"
@@ -411,7 +410,7 @@ def criterion_7() -> CheckResult:
 # 8. dynamic-programming consistency (nested Monte Carlo)
 # ---------------------------------------------------------------------------
 
-def criterion_8(workers=None) -> CheckResult:
+def criterion_8() -> CheckResult:
     t0 = time.perf_counter()
     spec = benchmark_energy()
     cost = benchmark_cost()
@@ -420,7 +419,7 @@ def criterion_8(workers=None) -> CheckResult:
     control_class = {"ell": BENCH_ELL, "m": 2}
     gap, se = bellman_gap(
         cost, cfg, 0.0, BENCH_TBAR, rho0, x0, control_class,
-        n_paths=2000, master_seed=808, workers=workers,
+        n_paths=2000, master_seed=808,
     )
     ok = gap <= 3.0 * se
     return _result(
@@ -578,7 +577,7 @@ def criterion_11() -> CheckResult:
 # 12. grid solver vs Monte Carlo
 # ---------------------------------------------------------------------------
 
-def criterion_12(workers=None) -> CheckResult:
+def criterion_12() -> CheckResult:
     t0 = time.perf_counter()
     spec = benchmark_energy()
     cost = benchmark_cost()
@@ -608,7 +607,6 @@ def criterion_12(workers=None) -> CheckResult:
             DensityState(rho=np.array([r1, 1.0 - r1])),
             MomentumState(s=np.array([x1, x2])),
             {"ell": BENCH_ELL, "m": 2}, n_paths=2000, master_seed=1200 + i,
-            workers=workers,
         )
         diff = abs(grid_val - est.value)
         allowed = max(0.10 * abs(est.value), 3.0 * est.std_error + trunc)
@@ -648,17 +646,15 @@ ALL_CRITERIA = (
     criterion_11, criterion_12, criterion_13,
 )
 
-_TAKES_WORKERS = {4, 6, 8, 12}
 
-
-def run_all(indices=None, workers=None, echo=print) -> list[CheckResult]:
+def run_all(indices=None, echo=print) -> list[CheckResult]:
     """Run the numbered checks (all by default), printing one line each."""
     wanted = set(indices) if indices else set(range(1, len(ALL_CRITERIA) + 1))
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if i not in wanted:
             continue
-        res = fn(workers=workers) if i in _TAKES_WORKERS else fn()
+        res = fn()
         results.append(res)
         if echo is not None:
             echo(res.line())

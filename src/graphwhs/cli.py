@@ -267,23 +267,22 @@ def _dump(path: Path, payload: dict) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _config_option(required: bool = True):
-    return click.option(
-        "--config",
-        "config_path",
-        required=required,
-        type=click.Path(exists=True, dir_okay=False),
-        help="experiment document (JSON)",
-    )
+_config_option = click.option(
+    "--config",
+    "config_path",
+    required=True,
+    type=click.Path(exists=True, dir_okay=False),
+    help="experiment document (JSON)",
+)
+_out_option = click.option(
+    "--out", "out_dir", default=None, type=click.Path(file_okay=False),
+    help="override output root",
+)
 
 
 def _common_options(fn):
-    fn = click.option("--workers", type=int, default=None,
-                      help="threads splitting the Monte-Carlo path axis (default: serial)")(fn)
     fn = click.option("--seed", type=int, default=None, help="override config seed")(fn)
-    fn = click.option("--out", "out_dir", default=None,
-                      type=click.Path(file_okay=False), help="override output root")(fn)
-    return fn
+    return _out_option(fn)
 
 
 @click.group()
@@ -293,15 +292,15 @@ def cli():
 
 
 @cli.command()
-@_config_option()
+@_config_option
 @_common_options
-def simulate(config_path, workers, seed, out_dir):
+def simulate(config_path, seed, out_dir):
     """Integrate an ensemble of coupled density/momentum paths."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     rho0, x0 = cfg.start_state()
     trajs = simulate_batch(
         cfg.sde_config(), rho0, x0, int(cfg.solver["n_paths"]), cfg.seed,
-        workers, cfg.solver["escape_quota"],
+        escape_quota=cfg.solver["escape_quota"],
     )
 
     def writer(d: Path):
@@ -312,15 +311,15 @@ def simulate(config_path, workers, seed, out_dir):
 
 
 @cli.command()
-@_config_option()
+@_config_option
 @_common_options
-def transform(config_path, workers, seed, out_dir):
+def transform(config_path, seed, out_dir):
     """Simulate, map each path to wave coordinates, and report residuals."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     rho0, x0 = cfg.start_state()
     trajs = simulate_batch(
         cfg.sde_config(), rho0, x0, int(cfg.solver["n_paths"]), cfg.seed,
-        workers, cfg.solver["escape_quota"],
+        escape_quota=cfg.solver["escape_quota"],
     )
     n = cfg.graph.n
     V = cfg.constant_control if cfg.constant_control is not None else np.zeros(n)
@@ -350,9 +349,9 @@ def transform(config_path, workers, seed, out_dir):
 
 
 @cli.command()
-@_config_option()
+@_config_option
 @_common_options
-def wdist(config_path, workers, seed, out_dir):
+def wdist(config_path, seed, out_dir):
     """Transport distance from state.rho to state.rho_target."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     if cfg.rho_target is None:
@@ -383,9 +382,9 @@ def wdist(config_path, workers, seed, out_dir):
 
 
 @cli.command()
-@_config_option()
+@_config_option
 @_common_options
-def cost(config_path, workers, seed, out_dir):
+def cost(config_path, seed, out_dir):
     """Expected cost of the configured (constant) control."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     rho0, x0 = cfg.start_state()
@@ -396,15 +395,15 @@ def cost(config_path, workers, seed, out_dir):
         )
     est = cost_functional(
         cfg.cost, cfg.sde_config(with_control=False), cfg.solver["t0"], rho0, x0,
-        control, int(cfg.solver["n_paths"]), cfg.seed, workers,
+        control, int(cfg.solver["n_paths"]), cfg.seed,
     )
     _publish(cfg, "cost", lambda d: _dump(d / "cost.json", est.to_dict()))
 
 
 @cli.command()
-@_config_option()
+@_config_option
 @_common_options
-def value(config_path, workers, seed, out_dir):
+def value(config_path, seed, out_dir):
     """Monte Carlo value-function upper approximation at the start state."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     rho0, x0 = cfg.start_state()
@@ -413,15 +412,15 @@ def value(config_path, workers, seed, out_dir):
     est = value_function_mc(
         cfg.cost, cfg.sde_config(with_control=False), cfg.solver["t0"], rho0, x0,
         klass, int(cfg.solver["n_paths"]), cfg.seed,
-        budget=float(cfg.solver["budget"]), workers=workers,
+        budget=float(cfg.solver["budget"]),
     )
     _publish(cfg, "value", lambda d: _dump(d / "value.json", est.to_dict()))
 
 
 @cli.command()
-@_config_option()
+@_config_option
 @_common_options
-def bellman(config_path, workers, seed, out_dir):
+def bellman(config_path, seed, out_dir):
     """Dynamic-programming gap diagnostic at the configured split time."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     rho0, x0 = cfg.start_state()
@@ -432,7 +431,7 @@ def bellman(config_path, workers, seed, out_dir):
         cfg.cost, cfg.sde_config(with_control=False), cfg.solver["t0"], cfg.t_bar(),
         rho0, x0, klass, int(cfg.solver["n_paths"]), cfg.seed,
         inner_paths=None if inner is None else int(inner),
-        workers=workers, return_detail=True,
+        return_detail=True,
     )
     payload = {"gap": gap, "std_error": se, "within_3_se": bool(gap <= 3.0 * se),
                "detail": detail}
@@ -440,9 +439,9 @@ def bellman(config_path, workers, seed, out_dir):
 
 
 @cli.command()
-@_config_option()
+@_config_option
 @_common_options
-def hjb(config_path, workers, seed, out_dir):
+def hjb(config_path, seed, out_dir):
     """Backward grid solve of the control Hamilton-Jacobi equation."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     grid = SimplexGrid.build(
@@ -466,9 +465,9 @@ def hjb(config_path, workers, seed, out_dir):
 
 
 @cli.command()
-@_config_option()
+@_config_option
 @_common_options
-def convolve(config_path, workers, seed, out_dir):
+def convolve(config_path, seed, out_dir):
     """Sup/inf envelope diagnostics of the grid value function."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     grid = SimplexGrid.build(
@@ -497,19 +496,21 @@ def convolve(config_path, workers, seed, out_dir):
 
 
 @cli.command()
-@_config_option(required=False)
-@_common_options
+@_out_option
 @click.option("--only", default=None,
               help="comma-separated criterion numbers (default: all)")
-def check(config_path, workers, seed, out_dir, only):
-    """Run the numbered verification suite; nonzero exit on any failure."""
-    if config_path is None:
-        config_path = resource_files("graphwhs").joinpath("data/default_config.json")
-    cfg = ExperimentConfig.load(config_path, seed, out_dir)
+def check(out_dir, only):
+    """Run the numbered verification suite; nonzero exit on any failure.
+
+    The criteria fix their own inputs; the manifest echoes the bundled
+    experiment document.
+    """
+    bundled = resource_files("graphwhs").joinpath("data/default_config.json")
+    cfg = ExperimentConfig.load(bundled, out=out_dir)
     indices = None
     if only:
         indices = [int(tok) for tok in only.replace(",", " ").split()]
-    results = run_all(indices=indices, workers=workers, echo=click.echo)
+    results = run_all(indices=indices, echo=click.echo)
 
     def writer(d: Path):
         _dump(

@@ -130,14 +130,20 @@ class CostSpec:
             raise DomainError("control_coeff must be positive")
         if min(self.tracking_coeff, self.bound, self.terminal_weight) < 0.0:
             raise DomainError("cost weights must be nonnegative")
+        for key in ("target_rho", "target_x"):
+            target = getattr(self, key)
+            if target is not None:
+                target = np.array(target, dtype=float)
+                target.setflags(write=False)
+                object.__setattr__(self, key, target)
 
     def _deviation2(self, rho: Array, x: Array) -> Array:
-        dev = np.zeros(np.shape(rho)[:-1])
-        if self.target_rho is not None:
-            dev = dev + ((rho - np.asarray(self.target_rho)) ** 2).sum(axis=-1)
-        if self.target_x is not None:
-            dev = dev + ((x - np.asarray(self.target_x)) ** 2).sum(axis=-1)
-        return dev
+        dev = None
+        for state, target in ((rho, self.target_rho), (x, self.target_x)):
+            if target is not None:
+                term = ((state - target) ** 2).sum(axis=-1)
+                dev = term if dev is None else dev + term
+        return np.zeros(np.shape(rho)[:-1]) if dev is None else dev
 
     def state_cost(self, t, rho: Array, x: Array) -> Array:
         """G(t, rho, x): the control-independent part of F."""
@@ -335,7 +341,6 @@ def _cost_estimates(
     controls: RowControls,
     noise: Noise,
     terminal,
-    workers=None,
 ) -> list[_Estimate]:
     """Cost estimates of len(starts) runs advanced in one lockstep batch.
 
@@ -348,7 +353,7 @@ def _cost_estimates(
     s = np.repeat(np.stack([x for _, x in starts]), paths, axis=0)
     streams = np.tile(noise.first_stream + np.arange(paths), len(starts))
     rho_T, s_T, alive, _, total = run_rows(
-        cfg, rho, s, noise, streams, partial(_RunningCost, cost), controls, workers
+        cfg, rho, s, noise, streams, partial(_RunningCost, cost), controls
     )
     out = []
     for rows, keep in _blocks(alive, paths):
@@ -373,7 +378,6 @@ def cost_functional(
     control: ControlSignal | None,
     n_paths: int,
     master_seed: int,
-    workers=None,
 ) -> ValueEstimate:
     """MC estimate of the expected running-plus-terminal cost of one control."""
     run_cfg = replace(cfg, t0=t, control=None)
@@ -382,7 +386,7 @@ def cost_functional(
         control = ControlSignal.constant(np.zeros(rho.n), t, cfg.T, 1.0)
     est = _cost_estimates(
         cost, run_cfg, [(rho.rho, x.s)], _signal_rows([control], n_paths),
-        draw_noise(run_cfg, master_seed, n_paths), cost.terminal_cost, workers,
+        draw_noise(run_cfg, master_seed, n_paths), cost.terminal_cost,
     )[0]
     return ValueEstimate(
         value=est.mean,
@@ -501,7 +505,6 @@ def value_function_mc(
     n_paths: int,
     master_seed: int,
     budget: int = 150,
-    workers=None,
 ) -> ValueEstimate:
     """Upper approximation of the value function over a restricted class.
 
@@ -512,7 +515,7 @@ def value_function_mc(
     share increments through the fixed master seed.
     """
     return _value_search(
-        cost, cfg, t, [(rho.rho, x.s)], control_class, n_paths, master_seed, budget, workers
+        cost, cfg, t, [(rho.rho, x.s)], control_class, n_paths, master_seed, budget
     )[0]
 
 
@@ -525,7 +528,6 @@ def _value_search(
     n_paths: int,
     master_seed: int,
     budget: float,
-    workers=None,
 ) -> list[ValueEstimate]:
     """``value_function_mc`` at several start states, searched in lockstep.
 
@@ -545,7 +547,7 @@ def _value_search(
         signals = [ControlSignal(breakpoints=bp, values=v, ell=ell) for v in trials]
         return _cost_estimates(
             cost, run_cfg, [starts[i] for i in owners], _signal_rows(signals, n_paths),
-            noise, cost.terminal_cost, workers,
+            noise, cost.terminal_cost,
         )
 
     searches = [_coordinate_search(m, n, ell, sweeps, iters, budget) for _ in starts]
@@ -580,7 +582,6 @@ def bellman_gap(
     master_seed: int,
     inner_paths: int | None = None,
     lattice_shape=(4, 4, 4),
-    workers=None,
     return_detail: bool = False,
 ):
     """|U(t) - inf_V E[ integral_t^tbar F + U(tbar, state) ]| with nested MC.
@@ -600,9 +601,7 @@ def bellman_gap(
 
     outer_class = dict(control_class)
     outer_class["breakpoints"] = [t, t_bar, cfg.T]
-    outer = value_function_mc(
-        cost, cfg, t, rho, x, outer_class, n_paths, master_seed, workers=workers
-    )
+    outer = value_function_mc(cost, cfg, t, rho, x, outer_class, n_paths, master_seed)
 
     # Reachable cloud at t_bar under a few probe controls fixes the lattice.
     # The probes replay the first paths of the middle search's noise draw.
@@ -640,7 +639,7 @@ def bellman_gap(
     ]
     inner = _value_search(
         cost, cfg, t_bar, nodes, inner_class, inner_paths, master_seed + 7_777_777,
-        budget=150, workers=workers,
+        budget=150,
     )
     inner_values = np.array([est.value for est in inner]).reshape(lattice_shape)
     inner_se_max = max(0.0, *(est.std_error for est in inner))
@@ -653,7 +652,7 @@ def bellman_gap(
         signals = [ControlSignal(breakpoints=[t, t_bar], values=v, ell=ell) for v in trials]
         return _cost_estimates(
             cost, seg_cfg, [(rho.rho, x.s)] * len(trials), _signal_rows(signals, n_paths),
-            seg_noise, middle_terminal, workers,
+            seg_noise, middle_terminal,
         )
 
     [(_, mid, _, _)] = _lockstep([_coordinate_search(1, n, ell, 2, 12, math.inf)], middle)

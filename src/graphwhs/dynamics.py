@@ -18,8 +18,8 @@ path is refined rather than resampled, up to ``max_rejects`` levels; beyond
 that the path reports a boundary escape.
 
 Everything here is deterministic given (config, master seed): paths own
-pre-assigned noise streams, batches advance paths in lockstep with
-per-element arithmetic, and worker parallelism only chunks the path axis.
+pre-assigned noise streams and batches advance paths in lockstep with
+per-element arithmetic.
 
 ``run_rows`` is the one stepping loop.  Its rows may start from different
 states, carry different controls and replay the same noise draw, and a
@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -262,9 +261,6 @@ class RowControls:
     def value_at(self, t: float) -> Array:
         return self.values[:, piece_index(self.breakpoints, t)]
 
-    def rows(self, sel) -> "RowControls":
-        return RowControls(self.breakpoints, self.values[sel])
-
 
 class _FullPath:
     """Reducer that keeps every node: the path arrays of ``batch_arrays``.
@@ -299,7 +295,26 @@ def _row_control(control_at, p: int):
     return at
 
 
-def _run_rows(cfg, rho, s, noise: Noise, streams, reducer, controls):
+def run_rows(
+    cfg: SdeConfig,
+    rho: Array,
+    s: Array,
+    noise: Noise,
+    streams: Array,
+    reducer=None,
+    controls: RowControls | None = None,
+):
+    """Advance the rows of (rho, s) over cfg's time grid in lockstep.
+
+    Row r starts at (rho[r], s[r]) and is driven by stream ``streams[r]`` of
+    the noise draw, so many runs (candidate controls, start states) replay
+    one draw.  The control is ``controls`` (one signal per row) or else
+    ``cfg.control`` (shared).  ``reducer(cfg, times, rows)`` builds an object
+    whose ``record(k, rho, s, V)`` sees the state and control at every grid
+    node and whose ``result()`` returns row-major arrays; without one only
+    the final state is kept.  Returns (rho_T, s_T, alive, escape_time,
+    *reducer results).
+    """
     steps, last_dt, times = _time_grid(cfg)
     rows = rho.shape[0]
     control_at = cfg.control_value if controls is None else controls.value_at
@@ -340,53 +355,27 @@ def _run_rows(cfg, rho, s, noise: Noise, streams, reducer, controls):
     return (rho, s, alive, escape_time, *extra)
 
 
-def run_rows(
+def batch_arrays(
     cfg: SdeConfig,
-    rho: Array,
-    s: Array,
-    noise: Noise,
-    streams: Array,
-    reducer=None,
-    controls: RowControls | None = None,
-    workers: int | None = None,
+    rho0: DensityState,
+    x0: MomentumState,
+    n_paths: int,
+    master_seed: int,
+    *,
+    first_stream: int = 0,
 ):
-    """Advance the rows of (rho, s) over cfg's time grid in lockstep.
+    """Raw ensemble arrays (times, rho, s, h0, h0v, increments, alive, escape_time).
 
-    Row r starts at (rho[r], s[r]) and is driven by stream ``streams[r]`` of
-    the noise draw, so many runs (candidate controls, start states) replay
-    one draw.  The control is ``controls`` (one signal per row) or else
-    ``cfg.control`` (shared).  ``reducer(cfg, times, rows)`` builds an object
-    whose ``record(k, rho, s, V)`` sees the state and control at every grid
-    node and whose ``result()`` returns row-major arrays; without one only
-    the final state is kept.  Returns (rho_T, s_T, alive, escape_time,
-    *reducer results).  ``workers`` threads split the row axis; every row's
-    arithmetic is its own, so the split cannot change a result.
+    The full-path reducer of ``run_rows`` over streams
+    first_stream..first_stream+n_paths-1; the moment scans and trajectory
+    builders work on these arrays directly.
     """
-    rows = rho.shape[0]
-    if not workers or workers <= 1 or rows == 1:
-        return _run_rows(cfg, rho, s, noise, streams, reducer, controls)
-    chunks = [
-        slice(int(c[0]), int(c[-1]) + 1)
-        for c in np.array_split(np.arange(rows), min(workers, rows))
-    ]
-
-    def part(sel):
-        sub = None if controls is None else controls.rows(sel)
-        return _run_rows(cfg, rho[sel], s[sel], noise, streams[sel], reducer, sub)
-
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(part, chunks))
-    return tuple(np.concatenate(arrays, axis=0) for arrays in zip(*parts))
-
-
-def _full_paths(cfg, rho0: Array, x0: Array, n_paths: int, master_seed: int,
-                workers=None, first_stream: int = 0):
     noise = draw_noise(cfg, master_seed, n_paths, first_stream)
-    rho = np.tile(np.asarray(rho0, dtype=float), (n_paths, 1))
-    s = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    rho = np.tile(rho0.rho, (n_paths, 1))
+    s = np.tile(x0.s, (n_paths, 1))
     streams = first_stream + np.arange(n_paths)
     _, _, alive, escape_time, rho_out, s_out, h0, h0v = run_rows(
-        cfg, rho, s, noise, streams, _FullPath, workers=workers
+        cfg, rho, s, noise, streams, _FullPath
     )
     times = _time_grid(cfg)[2]
     return times, rho_out, s_out, h0, h0v, noise.incs, alive, escape_time
@@ -394,8 +383,8 @@ def _full_paths(cfg, rho0: Array, x0: Array, n_paths: int, master_seed: int,
 
 def simulate(cfg: SdeConfig, rho0: DensityState, x0: MomentumState, rng: RngStream) -> Trajectory:
     """Integrate one path on [t0, T] driven by the given stream."""
-    times, rho_out, s_out, h0, h0v, incs, alive, escape_time = _full_paths(
-        cfg, rho0.rho, x0.s, 1, rng.master_seed, first_stream=rng.stream_id
+    times, rho_out, s_out, h0, h0v, incs, alive, escape_time = batch_arrays(
+        cfg, rho0, x0, 1, rng.master_seed, first_stream=rng.stream_id
     )
     traj = Trajectory(
         times=times,
@@ -431,13 +420,13 @@ def simulate_batch(
     x0: MomentumState,
     n_paths: int,
     master_seed: int,
-    workers: int | None = None,
+    *,
     escape_quota: float = 0.01,
 ) -> list[Trajectory]:
-    """Ensemble of paths on streams 0..n_paths-1; schedule-independent."""
+    """Ensemble of paths on streams 0..n_paths-1, dropping at most escape_quota escapes."""
     if n_paths < 1:
         raise DomainError("need at least one path")
-    raw = batch_arrays(cfg, rho0, x0, n_paths, master_seed, workers)
+    raw = batch_arrays(cfg, rho0, x0, n_paths, master_seed)
     times, rho_out, s_out, h0, h0v, incs, alive, escape_time = raw
     escaped = int((~alive).sum())
     if escaped > escape_quota * n_paths:
@@ -461,22 +450,6 @@ def simulate_batch(
     return out
 
 
-def batch_arrays(
-    cfg: SdeConfig,
-    rho0: DensityState,
-    x0: MomentumState,
-    n_paths: int,
-    master_seed: int,
-    workers: int | None = None,
-):
-    """Raw ensemble arrays (times, rho, s, h0, h0v, increments, alive, escape_time).
-
-    The full-path reducer of ``run_rows`` over streams 0..n_paths-1; the
-    moment scans and trajectory builders work on these arrays directly.
-    """
-    return _full_paths(cfg, rho0.rho, x0.s, n_paths, master_seed, workers)
-
-
 # ---------------------------------------------------------------------------
 # empirical regularity of the energy along paths
 # ---------------------------------------------------------------------------
@@ -496,7 +469,6 @@ def regularity_scan(
     horizons,
     n_paths: int,
     master_seed: int = 0,
-    workers: int | None = None,
 ) -> RegularityScan:
     """Log-log slope of the second-moment modulus of H0V over short horizons."""
     horizons = np.sort(np.asarray(horizons, dtype=float))[::-1]
@@ -505,17 +477,8 @@ def regularity_scan(
     if np.any(horizons <= 0.0) or np.any(np.diff(horizons) >= 0.0):
         raise DomainError("horizons must be positive and strictly decreasing")
     span = float(horizons[0])
-    scan_cfg = SdeConfig(
-        energy=cfg.energy,
-        t0=cfg.t0,
-        T=cfg.t0 + span,
-        dt=cfg.dt,
-        control=cfg.control,
-        boundary_floor=cfg.boundary_floor,
-        max_rejects=cfg.max_rejects,
-    )
     times, _, _, _, h0v, _, alive, _ = batch_arrays(
-        scan_cfg, rho0, x0, n_paths, master_seed, workers
+        replace(cfg, T=cfg.t0 + span), rho0, x0, n_paths, master_seed
     )
     h0v = h0v[alive]
     dev2 = (h0v - h0v[:, :1]) ** 2

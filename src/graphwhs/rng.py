@@ -10,7 +10,8 @@ elsewhere:
 * an increment over a coarse step is the sum of the increments of the fine
   steps it covers (``substeps`` base draws per step), which is what
   common-noise refinement studies need,
-* worker scheduling cannot change any result because nothing is shared.
+* the order in which streams are read cannot change any result, because
+  nothing is shared.
 
 Reads are random access through the Philox counter: reading ``count`` words
 from word w costs O(count) whatever w is, and nothing is cached, so a

@@ -239,8 +239,7 @@ def test_bellman_artifact(tmp_path):
 
 def test_check_subset_and_bundled_default(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
-    path = write_config(tmp_path, base_config(out))
-    assert main(["check", "--config", path, "--only", "1,2"]) == 0
+    assert main(["check", "--out", str(out), "--only", "1,2"]) == 0
     report = json.loads(
         (only_dir(out, "check-") / "check_report.json").read_text()
     )
@@ -249,10 +248,26 @@ def test_check_subset_and_bundled_default(tmp_path, monkeypatch, capsys):
     assert all(r["passed"] for r in report["results"])
     lines = capsys.readouterr().out
     assert "PASS" in lines
-    # Without --config the bundled document drives the run from the cwd.
+    # The manifest echoes the bundled document, with --out applied.
+    manifest = json.loads((only_dir(out, "check-") / "manifest.json").read_text())
+    assert manifest["config"]["out"] == str(out)
+    assert manifest["config"]["graph"] == {"n": 2, "edges": [[0, 1, 1.0]]}
+    # Without --out the bundled document's output root is used, from the cwd.
     monkeypatch.chdir(tmp_path)
     assert main(["check", "--only", "2"]) == 0
     assert (tmp_path / "out").exists()
+
+
+def test_removed_options_are_usage_errors(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(tmp_path / "out"))
+    assert main(["simulate", "--config", path, "--workers", "2"]) == 2
+    assert main(["check", "--config", path]) == 2
+    assert main(["check", "--seed", "3"]) == 2
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
+    assert main(["check", "--help"]) == 0
+    options = [tok for tok in capsys.readouterr().out.split() if tok.startswith("--")]
+    assert options == ["--out", "--only", "--help"]
 
 
 def test_help_and_version_exit_clean():

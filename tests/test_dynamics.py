@@ -64,15 +64,6 @@ def test_batch_rows_equal_single_paths():
         assert np.array_equal(traj.s_path, single.s_path)
 
 
-def test_worker_count_does_not_change_results():
-    cfg = SdeConfig(energy=pair_spec(), T=0.05, dt=1e-3)
-    rho0, x0 = start()
-    serial = batch_arrays(cfg, rho0, x0, 6, 123, workers=None)
-    threaded = batch_arrays(cfg, rho0, x0, 6, 123, workers=3)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a, b, equal_nan=True)
-
-
 def test_lockstep_rows_rescue_with_their_own_control_and_stream():
     # Two runs near the boundary share one noise draw in one batch; strong
     # noise forces step halvings and escapes in both.  Each run must match
@@ -209,6 +200,9 @@ def test_ensemble_escape_quota():
     out = simulate_batch(escape_cfg(), rho0, x0, n_paths=3, master_seed=0,
                          escape_quota=1.0)
     assert out == []
+    # The quota is keyword-only, so a stale sixth positional argument fails loudly.
+    with pytest.raises(TypeError):
+        simulate_batch(escape_cfg(), rho0, x0, 3, 0, 1.0)
 
 
 def test_step_splitting_rescues_a_tight_step():
