@@ -371,6 +371,8 @@ def wdist(config_path, seed, out_dir):
             {
                 "distance": res.value,
                 "converged": res.converged,
+                "accepted_iters": res.action_trace.size - 1,
+                "step_size": res.step_size,
                 "action_trace": [float(a) for a in res.action_trace],
             },
         )

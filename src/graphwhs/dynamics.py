@@ -113,17 +113,21 @@ class Trajectory:
             + [f"S_{i}" for i in range(n)]
             + ["H0", "H0V"]
         )
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(self.times.size):
-                row = (
-                    [repr(float(self.times[k]))]
-                    + [repr(float(v)) for v in self.rho_path[k]]
-                    + [repr(float(v)) for v in self.s_path[k]]
-                    + [repr(float(self.h0_path[k])), repr(float(self.h0v_path[k]))]
-                )
-                writer.writerow(row)
+        table = np.column_stack(
+            [self.times, self.rho_path, self.s_path, self.h0_path, self.h0v_path]
+        )
+        _write_csv(path, header, table)
+
+
+def _write_csv(path, header: list[str], table: Array) -> None:
+    """A header row, then one row per row of the float table.
+
+    The csv module writes a float as its repr, so every value round-trips.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(table.tolist())
 
 
 def drift_field(energy: EnergySpec, V, rho: DensityState, x: MomentumState):

@@ -5,7 +5,7 @@ Conventions
 * Vertices are 0..n-1.  Edge weights live in a dense symmetric matrix
   ``omega`` with zero diagonal; ``omega[i, j] > 0`` iff {i, j} is an edge.
   Graphs must be connected.  Dense storage caps n at 64 (the transport path
-  still solves a dense n x n Laplacian).
+  still solves one dense n x n Laplacian per path interval).
 * Edge-local quantities are computed on the oriented edge list
   ``Graph.edge_list``: both orientations (i, j) and (j, i) of every edge,
   sorted by tail i and then by head j, with per-edge omega, built once per
@@ -205,10 +205,11 @@ class EdgeList(NamedTuple):
         return out
 
     def laplacian(self, a: Array) -> Array:
-        """Dense n x n Laplacian diag(row sums) - A for edge weights a of shape (E,)."""
-        L = np.zeros((self.n, self.n))
-        L[self.ii, self.jj] = -a
-        L.flat[:: self.n + 1] = self.vertex_sum(a)
+        """Dense (..., n, n) Laplacians diag(row sums) - A for edge weights a of shape (..., E)."""
+        L = np.zeros(a.shape[:-1] + (self.n, self.n))
+        L[..., self.ii, self.jj] = -a
+        diag = np.arange(self.n)
+        L[..., diag, diag] = self.vertex_sum(a)
         return L
 
 
@@ -427,32 +428,24 @@ class PathResult(NamedTuple):
     path: Array          # (steps + 1, n) densities
     action_trace: Array  # action after each accepted descent step
     converged: bool
+    step_size: float     # line-search step at exit; 0.0 when no descent ran
 
 
 def _mobility_laplacian(G: Graph, w: ProbabilityWeight, rho: Array) -> Array:
+    # (..., n, n) mobility Laplacians for (..., n) densities.
     if (rho < 0.0).any():
         raise DomainError("probability weights take nonnegative arguments")
     e = G.edge_list
-    return e.laplacian(e.omega * _mean(w, rho[e.ii], rho[e.jj]))
-
-
-def _interval_action(G, w, mid: Array, vel: Array):
-    # Least-squares velocity recovery: restrict to gradient fields, i.e.
-    # solve L(mid) phi = vel on the mean-zero subspace.  Divergence-free
-    # components are rho-orthogonal to gradients, so this is the
-    # minimum-action edge field compatible with the continuity equation.
-    L = _mobility_laplacian(G, w, mid)
-    phi = np.linalg.lstsq(L, vel, rcond=None)[0]
-    return float(phi @ vel), phi
+    return e.laplacian(e.omega * _mean(w, rho[..., e.ii], rho[..., e.jj]))
 
 
 def _kinetic_rho_partial(G: Graph, w: ProbabilityWeight, rho: Array, phi: Array) -> Array:
-    # d/d rho_a of sum_edges omega (phi_i - phi_j)^2 g_ij(rho).
+    # d/d rho_a of sum_edges omega (phi_i - phi_j)^2 g_ij(rho), for (..., n) arrays.
     if (rho <= 0.0).any():
         raise DomainError("weight partials need strictly positive arguments")
     e = G.edge_list
-    diff2 = (phi[e.ii] - phi[e.jj]) ** 2
-    return e.vertex_sum(e.omega * diff2 * _mean_dt(w, rho[e.ii], rho[e.jj]))
+    diff2 = (phi[..., e.ii] - phi[..., e.jj]) ** 2
+    return e.vertex_sum(e.omega * diff2 * _mean_dt(w, rho[..., e.ii], rho[..., e.jj]))
 
 
 def wasserstein_path(
@@ -466,11 +459,17 @@ def wasserstein_path(
 ) -> PathResult:
     """Locally minimized discrete action between two interior densities.
 
-    The path is parameterized on a uniform grid; each interval recovers its
-    velocity potential in least squares and contributes dt * <v, v>_mid to
-    the action.  Interior nodes descend along the analytic action gradient
-    (projected onto the simplex tangent) with backtracking; iterates that
-    leave the interior are rejected by the line search.
+    The path is parameterized on a uniform grid.  Each interval's velocity
+    potential solves L(mid) phi = vel for the mobility Laplacian at the
+    interval midpoint: one stacked solve over all intervals, grounded at
+    vertex 0 (the graph is connected, so the grounded block is regular) and
+    then shifted to mean zero.  Restricting to gradient fields gives the
+    minimum-action edge field compatible with the continuity equation
+    (divergence-free components are rho-orthogonal to gradients), and each
+    interval contributes dt * <phi, vel> to the action.  Interior nodes
+    descend along the analytic action gradient (projected onto the simplex
+    tangent) with backtracking; iterates that leave the interior are
+    rejected by the line search.
     """
     if steps < 8:
         raise DomainError("need at least 8 path steps")
@@ -479,19 +478,22 @@ def wasserstein_path(
         raise ShapeError("densities must match the graph size")
     if np.allclose(rho0.rho, rho1.rho, atol=1e-15):
         path = np.tile(rho0.rho, (steps + 1, 1))
-        return PathResult(0.0, path, np.zeros(1), True)
+        return PathResult(0.0, path, np.zeros(1), True, 0.0)
 
     dt = 1.0 / steps
     tgrid = np.linspace(0.0, 1.0, steps + 1)
     path = (1.0 - tgrid)[:, None] * rho0.rho + tgrid[:, None] * rho1.rho
 
     def action_and_potentials(p):
+        mid = 0.5 * (p[:-1] + p[1:])
+        vel = (p[1:] - p[:-1]) / dt
+        L = _mobility_laplacian(G, w, mid)
+        phis = np.zeros((steps, n))
+        phis[:, 1:] = np.linalg.solve(L[:, 1:, 1:], vel[:, 1:, None])[..., 0]
+        # The action depends only on potential differences.
+        phis -= phis.mean(axis=1, keepdims=True)
         total = 0.0
-        phis = np.empty((steps, n))
-        for k in range(steps):
-            mid = 0.5 * (p[k] + p[k + 1])
-            vel = (p[k + 1] - p[k]) / dt
-            a_k, phis[k] = _interval_action(G, w, mid, vel)
+        for a_k in (phis * vel).sum(axis=1).tolist():
             total += dt * a_k
         return total, phis
 
@@ -504,12 +506,10 @@ def wasserstein_path(
         # Envelope-theorem gradient of the action in the interior nodes:
         # the velocity part telescopes through the potentials, the mobility
         # part differentiates g through the interval midpoints.
+        dL = _kinetic_rho_partial(G, w, 0.5 * (path[:-1] + path[1:]), phis)
         grad = np.zeros((steps + 1, n))
-        for k in range(steps):
-            mid = 0.5 * (path[k] + path[k + 1])
-            dL = _kinetic_rho_partial(G, w, mid, phis[k])
-            grad[k] += -2.0 * phis[k] - 0.5 * dt * dL
-            grad[k + 1] += 2.0 * phis[k] - 0.5 * dt * dL
+        grad[:-1] += -2.0 * phis - 0.5 * dt * dL
+        grad[1:] += 2.0 * phis - 0.5 * dt * dL
         grad[0] = grad[-1] = 0.0
         grad[1:-1] -= grad[1:-1].mean(axis=1, keepdims=True)
         gnorm2 = float((grad**2).sum())
@@ -534,7 +534,7 @@ def wasserstein_path(
             break
 
     converged = stationary or action < initial_action or initial_action == 0.0
-    return PathResult(math.sqrt(max(action, 0.0)), path, np.asarray(trace), converged)
+    return PathResult(math.sqrt(max(action, 0.0)), path, np.asarray(trace), converged, step_size)
 
 
 def wasserstein_distance(

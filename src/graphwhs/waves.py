@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import BoundaryEscapeError, Trajectory, midpoint_step
+from .dynamics import BoundaryEscapeError, Trajectory, midpoint_step, _write_csv
 from .energies import (
     EnergySpec,
     POLYNOMIAL_INTERACTION,
@@ -117,14 +117,18 @@ def nonlinear_laplacian(spec: EnergySpec, u: WaveState, s_prev: MomentumState | 
     """
     # madelung_inverse returns a DensityState, so every rho_j is positive.
     rho, s = madelung_inverse(u, s_prev)
+    return _laplacian_arrays(spec, u.u, rho.rho, s.s)
+
+
+def _laplacian_arrays(spec: EnergySpec, u: Array, r: Array, s: Array) -> Array:
+    # Lap_G u for (..., n) waves u with moduli r = |u|^2 > 0 and unwrapped phases s.
     e = spec.graph.edge_list
-    r = rho.rho
-    ri = r[e.ii]
-    rj = r[e.jj]
+    ri = r[..., e.ii]
+    rj = r[..., e.jj]
 
     # log u_j - log u_l split into real and imaginary parts, per ordered edge.
     d_re = 0.5 * (np.log(ri) - np.log(rj))
-    d_im = s.s[e.ii] - s.s[e.jj]
+    d_im = s[..., e.ii] - s[..., e.jj]
 
     g = _mean(spec.weight, ri, rj)
     gl = _mean(_LOG_MEAN, ri, rj)
@@ -134,13 +138,16 @@ def nonlinear_laplacian(spec: EnergySpec, u: WaveState, s_prev: MomentumState | 
     om = e.omega
     bracket1 = e.vertex_sum(om * (d_re + 1j * d_im) * g) + e.vertex_sum(om * gl * d_re)
     bracket2 = e.vertex_sum(om * gt * (d_re**2 + d_im**2)) + e.vertex_sum(om * glt * d_re**2)
-    return -(u.u / r) * bracket1 - u.u * bracket2
+    return -(u / r) * bracket1 - u * bracket2
 
 
 def sse_nonlinearity(spec: EnergySpec, rho: Array) -> Array:
-    """The variant's zeroth-order coefficient N_j (real)."""
+    """The variant's zeroth-order coefficient N_j (real), for (..., n) densities."""
     if spec.variant == POLYNOMIAL_INTERACTION:
-        return rho @ spec.edge_interaction.T
+        # One vector-matrix product per row: a (K, n) @ (n, n) product would
+        # round differently from the rows taken one at a time.
+        rho = np.asarray(rho, dtype=float)
+        return np.matmul(rho[..., None, :], spec.edge_interaction.T)[..., 0, :]
     return -np.log(rho)
 
 
@@ -184,52 +191,68 @@ def sse_residual(spec: EnergySpec, V, traj: Trajectory) -> ResidualStats:
     defect  i (u_{k+1} - u_k)/dt - RHS(u_k) - noise_k/dt  is measured, with
     the Stratonovich noise term evaluated at the interval midpoint from the
     trajectory's own recorded increments.  With sigma = 0 the defect decays
-    at first order in dt.
+    at first order in dt.  All intervals are evaluated in one pass; each
+    left endpoint u_k must be a valid density/wave state, and the first one
+    that is not raises the error its state constructors raise.
     """
-    times = traj.times
-    rho = traj.rho_path
-    s = traj.s_path
     Varr = None if V is None else np.asarray(V, dtype=float)
-    K = times.size - 1
-    per_step = np.empty(K)
-    worst = 0.0
-    for k in range(K):
-        dt = float(times[k + 1] - times[k])
-        u0 = madelung_forward(
-            DensityState(rho=rho[k], floor=min(EPS_FLOOR, rho[k].min() * 0.5)),
-            MomentumState(s=s[k]),
-        )
-        u1 = np.sqrt(rho[k + 1]) * np.exp(1j * s[k + 1])
-        lap = nonlinear_laplacian(spec, u0, s_prev=MomentumState(s=s[k]))
-        rhs = -0.5 * lap + u0.u * sse_nonlinearity(spec, rho[k])
-        if Varr is not None:
-            rhs = rhs + u0.u * Varr
-        defect = 1j * (u1 - u0.u) / dt - rhs
-        if np.any(spec.sigma != 0.0):
-            u_mid = 0.5 * (u0.u + u1)
-            defect = defect - spec.sigma * u_mid * traj.dw_path[k] / dt
-        a = np.abs(defect)
-        per_step[k] = float(np.sqrt((a**2).mean()))
-        worst = max(worst, float(a.max()))
+    rho = traj.rho_path[:-1]
+    s = traj.s_path[:-1]
+    dt = np.diff(traj.times)[:, None]
+    with np.errstate(invalid="ignore"):  # a row that is no state raises below
+        u0 = np.sqrt(rho) * np.exp(1j * s)
+        amp2 = np.abs(u0) ** 2
+        phase = unwrap_phase(np.angle(u0), s)
+    _check_rows(rho, s, amp2, phase)
+    u1 = np.sqrt(traj.rho_path[1:]) * np.exp(1j * traj.s_path[1:])
+    rhs = -0.5 * _laplacian_arrays(spec, u0, amp2, phase) + u0 * sse_nonlinearity(spec, rho)
+    if Varr is not None:
+        rhs = rhs + u0 * Varr
+    defect = 1j * (u1 - u0) / dt - rhs
+    if np.any(spec.sigma != 0.0):
+        u_mid = 0.5 * (u0 + u1)
+        defect = defect - spec.sigma * u_mid * traj.dw_path / dt
+    a = np.abs(defect)
+    per_step = np.sqrt((a**2).mean(axis=1))
+    # fmax skips a step whose maximum is nan, as a running max(worst, step) does.
+    worst = float(np.fmax.reduce(a.max(axis=1), initial=0.0))
     return ResidualStats(max_abs=worst, rms=float(np.sqrt((per_step**2).mean())), per_step=per_step)
+
+
+def _check_rows(rho: Array, s: Array, amp2: Array, phase: Array) -> None:
+    # Raise what the per-state constructors raise, at the first row they
+    # reject.  The masks flag every row they may reject (the sums against
+    # half the tolerance, so a summation order cannot hide one; a negative
+    # component makes amp2 nan, a zero one meets the vacuum floor); each
+    # flagged row is then rebuilt exactly as a single-step evaluation
+    # builds it.
+    finite = np.isfinite(rho) & np.isfinite(s) & np.isfinite(amp2) & np.isfinite(phase)
+    vacuum = np.minimum(EPS_FLOOR, 0.5 * rho.min(axis=1))[:, None]
+    suspect = (
+        ~finite.all(axis=1)
+        | (np.abs(rho.sum(axis=1) - 1.0) > 0.5e-12)
+        | (np.abs(amp2.sum(axis=1) - 1.0) > 0.5e-12)
+        | (amp2 <= vacuum).any(axis=1)
+    )
+    if rho.shape[1] > 1:
+        suspect |= ((rho >= 1.0) | (amp2 >= 1.0)).any(axis=1)
+    for k in np.flatnonzero(suspect):
+        s_k = MomentumState(s=s[k])
+        u = madelung_forward(DensityState(rho=rho[k], floor=min(EPS_FLOOR, rho[k].min() * 0.5)), s_k)
+        madelung_inverse(u, s_prev=s_k)
 
 
 def wave_csv(traj: Trajectory, path) -> None:
     """Trajectory exported in wave coordinates: t, Re/Im per vertex, mass."""
-    import csv
-
     n = traj.n
     header = ["t"]
     for i in range(n):
         header += [f"Re(u_{i})", f"Im(u_{i})"]
     header.append("mass")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.times.size):
-            u = np.sqrt(traj.rho_path[k]) * np.exp(1j * traj.s_path[k])
-            row = [repr(float(traj.times[k]))]
-            for i in range(n):
-                row += [repr(float(u[i].real)), repr(float(u[i].imag))]
-            row.append(repr(float((np.abs(u) ** 2).sum())))
-            writer.writerow(row)
+    u = np.sqrt(traj.rho_path) * np.exp(1j * traj.s_path)
+    table = np.empty((u.shape[0], 2 * n + 2))
+    table[:, 0] = traj.times
+    table[:, 1:-1:2] = u.real
+    table[:, 2:-1:2] = u.imag
+    table[:, -1] = (np.abs(u) ** 2).sum(axis=1)
+    _write_csv(path, header, table)

@@ -177,6 +177,8 @@ def test_wdist_artifacts_and_missing_target(tmp_path):
     res = json.loads((run / "wdist.json").read_text())
     assert res["distance"] > 0.0
     assert res["converged"] is True
+    assert res["accepted_iters"] == len(res["action_trace"]) - 1
+    assert 0.0 < res["step_size"] <= 1.0
     rows = np.loadtxt(run / "path.csv", delimiter=",", skiprows=1)
     assert np.allclose(rows[0], [0.35, 0.65], atol=1e-12)
     assert np.allclose(rows[-1], [0.6, 0.4], atol=1e-12)

@@ -254,6 +254,36 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.array_equal(data[:, 5], traj.h0_path)
 
 
+def reference_trajectory_csv(traj, path):
+    # The row-by-row writer.
+    n = traj.n
+    header = ["t"] + [f"rho_{i}" for i in range(n)] + [f"S_{i}" for i in range(n)] + ["H0", "H0V"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(traj.times.size):
+            writer.writerow(
+                [repr(float(traj.times[k]))]
+                + [repr(float(v)) for v in traj.rho_path[k]]
+                + [repr(float(v)) for v in traj.s_path[k]]
+                + [repr(float(traj.h0_path[k])), repr(float(traj.h0v_path[k]))]
+            )
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 12])
+def test_trajectory_csv_bytes_match_row_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    rho = rng.dirichlet(np.ones(n), size=40)
+    s = rng.normal(0.0, 3.0, (40, n))
+    s[3, 0] = -0.0
+    h0 = rng.normal(size=40) * 10.0 ** rng.integers(-20, 20, 40)
+    traj = Trajectory(np.linspace(0.0, 0.039, 40), rho, s, h0, -h0 / 3.0,
+                      rng.normal(size=(39, n)), 0, 0)
+    traj.to_csv(tmp_path / "a.csv")
+    reference_trajectory_csv(traj, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_regularity_scan_slope_and_degenerate_flag():
     cfg = SdeConfig(energy=pair_spec(sigma=0.2), T=0.1, dt=2.5e-4)
     rho0, x0 = start()

@@ -15,14 +15,18 @@ from graphwhs.graphs import (
     Graph,
     GraphError,
     MomentumState,
+    PathResult,
     ProbabilityWeight,
     ShapeError,
+    _kinetic_rho_partial,
+    _mobility_laplacian,
     divergence,
     frechet_project,
     graph_gradient,
     rho_inner,
     two_node_distance_oracle,
     wasserstein_distance,
+    wasserstein_path,
     weight_eval,
     weight_matrix,
     weight_partial,
@@ -230,3 +234,121 @@ def test_distance_is_symmetric_and_scales_with_omega():
     assert two_node_distance_oracle(w, 4.0, 0.2, 0.7) == pytest.approx(
         0.5 * two_node_distance_oracle(w, 1.0, 0.2, 0.7), rel=1e-12
     )
+
+
+def ring_with_chords(n=8):
+    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    return Graph.from_edges(n, edges + [(0, n // 2, 0.5), (n // 4, 3 * n // 4, 0.5)])
+
+
+def reference_path(G, w, rho0, rho1, steps, iters, floor=1e-9):
+    # Per-interval least-squares potentials on dense mobility Laplacians.
+    n = G.n
+    dt = 1.0 / steps
+    tgrid = np.linspace(0.0, 1.0, steps + 1)
+    path = (1.0 - tgrid)[:, None] * rho0 + tgrid[:, None] * rho1
+
+    def dense_laplacian(mid):
+        A = G.omega * weight_matrix(G, w, mid)
+        return np.diag(A.sum(axis=1)) - A
+
+    def action_and_potentials(p):
+        total = 0.0
+        phis = np.empty((steps, n))
+        for k in range(steps):
+            mid = 0.5 * (p[k] + p[k + 1])
+            vel = (p[k + 1] - p[k]) / dt
+            phis[k] = np.linalg.lstsq(dense_laplacian(mid), vel, rcond=None)[0]
+            total += dt * float(phis[k] @ vel)
+        return total, phis
+
+    action, phis = action_and_potentials(path)
+    trace = [action]
+    step_size = 0.25
+    for _ in range(iters):
+        grad = np.zeros((steps + 1, n))
+        for k in range(steps):
+            mid = 0.5 * (path[k] + path[k + 1])
+            gt, _ = weight_partial(w, mid[:, None], mid[None, :])
+            diff2 = (phis[k][:, None] - phis[k][None, :]) ** 2
+            dL = np.where(G.edge_mask, G.omega * diff2 * gt, 0.0).sum(axis=1)
+            grad[k] += -2.0 * phis[k] - 0.5 * dt * dL
+            grad[k + 1] += 2.0 * phis[k] - 0.5 * dt * dL
+        grad[0] = grad[-1] = 0.0
+        grad[1:-1] -= grad[1:-1].mean(axis=1, keepdims=True)
+        gnorm2 = float((grad**2).sum())
+        if gnorm2 <= 1e-18:
+            break
+        accepted = False
+        while step_size > 1e-14:
+            trial = path - step_size * grad
+            if trial[1:-1].min() > floor:
+                trial_action, trial_phis = action_and_potentials(trial)
+                if trial_action < action - 1e-4 * step_size * gnorm2:
+                    path, action, phis = trial, trial_action, trial_phis
+                    trace.append(action)
+                    step_size = min(4.0 * step_size, 1.0)
+                    accepted = True
+                    break
+            step_size *= 0.5
+        if not accepted:
+            break
+    return math.sqrt(action), path, np.asarray(trace), step_size
+
+
+@pytest.mark.parametrize("kind", [AVERAGE, LOGARITHMIC, HARMONIC])
+def test_transport_path_matches_least_squares_reference(kind):
+    G = ring_with_chords()
+    w = ProbabilityWeight(kind)
+    a = 1.0 + 0.5 * np.sin(np.arange(8.0))
+    b = 1.0 + 0.5 * np.cos(np.arange(8.0) ** 2)
+    a, b = a / a.sum(), b / b.sum()
+    res = wasserstein_path(G, w, DensityState(rho=a), DensityState(rho=b), steps=16, iters=40)
+    value, path, trace, step_size = reference_path(G, w, a, b, 16, 40)
+    assert res.converged
+    assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert np.abs(res.path - path).max() <= 1e-12 * np.abs(path).max()
+    assert res.action_trace.size == trace.size
+    assert np.abs(res.action_trace - trace).max() <= 1e-12 * trace[0]
+    assert res.step_size == step_size
+
+
+def test_path_result_reports_the_final_step():
+    G = ring_with_chords()
+    w = ProbabilityWeight(AVERAGE)
+    a = DensityState(rho=np.full(8, 0.125))
+    assert PathResult._fields[:4] == ("value", "path", "action_trace", "converged")
+    res = wasserstein_path(G, w, a, a, steps=8)
+    assert (res.value, res.converged, res.action_trace.size, res.step_size) == (0.0, True, 1, 0.0)
+    b = DensityState(rho=np.r_[0.3, np.full(7, 0.1)])
+    res = wasserstein_path(G, w, a, b, steps=8, iters=5)
+    assert res.action_trace.size - 1 == 5
+    assert 1e-14 < res.step_size <= 1.0
+
+
+def test_transport_domain_checks_hold_on_stacked_intervals():
+    G = ring_with_chords()
+    w = ProbabilityWeight(HARMONIC)
+    mids = np.full((6, 8), 0.125)
+    phis = np.tile(np.linspace(-1.0, 1.0, 8), (6, 1))
+    assert _mobility_laplacian(G, w, mids).shape == (6, 8, 8)
+    assert _kinetic_rho_partial(G, w, mids, phis).shape == (6, 8)
+    mids[3, 2] = -1e-3
+    with pytest.raises(DomainError):
+        _mobility_laplacian(G, w, mids)
+    mids[3, 2] = 0.0
+    with pytest.raises(DomainError):
+        _kinetic_rho_partial(G, w, mids, phis)
+
+
+@pytest.mark.parametrize("kind", [AVERAGE, LOGARITHMIC, HARMONIC])
+def test_transport_line_search_rejects_trials_below_the_floor(kind):
+    # A start with a nearly empty vertex: full-length trial steps leave the
+    # simplex, and the line search must shrink them instead of evaluating them.
+    G = ring_with_chords()
+    a = np.r_[1e-4, np.full(7, (1.0 - 1e-4) / 7)]
+    b = np.r_[0.6, np.full(7, 0.4 / 7)]
+    res = wasserstein_path(G, ProbabilityWeight(kind), DensityState(rho=a),
+                           DensityState(rho=b), steps=8, iters=30, floor=1e-9)
+    assert res.converged
+    assert res.path[1:-1].min() > 1e-9

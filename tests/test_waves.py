@@ -1,11 +1,14 @@
+import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from graphwhs.dynamics import SdeConfig, simulate
+from graphwhs.dynamics import SdeConfig, Trajectory, simulate
 from graphwhs.energies import EnergySpec
 from graphwhs.graphs import (
+    EPS_FLOOR,
     DensityState,
     DomainError,
     Graph,
@@ -30,6 +33,11 @@ from graphwhs.waves import (
 
 def pair_graph():
     return Graph.from_edges(2, [(0, 1, 1.0)])
+
+
+def ring_with_chords(n=8):
+    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    return Graph.from_edges(n, edges + [(0, n // 2, 0.5), (n // 4, 3 * n // 4, 0.5)])
 
 
 def conjugate_spec(n_graph=None, sigma=0.0):
@@ -200,3 +208,147 @@ def test_wave_csv_format(tmp_path):
     data = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
     assert data.shape == (traj.times.size, 6)
     assert np.abs(data[:, 5] - 1.0).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# whole-horizon passes against per-step references
+# ---------------------------------------------------------------------------
+
+def reference_residual(spec, V, traj):
+    # The per-step loop: one validated state and one Laplacian per interval.
+    times, rho, s = traj.times, traj.rho_path, traj.s_path
+    Varr = None if V is None else np.asarray(V, dtype=float)
+    K = times.size - 1
+    per_step = np.empty(K)
+    worst = 0.0
+    for k in range(K):
+        dt = float(times[k + 1] - times[k])
+        u0 = madelung_forward(
+            DensityState(rho=rho[k], floor=min(EPS_FLOOR, rho[k].min() * 0.5)),
+            MomentumState(s=s[k]),
+        )
+        u1 = np.sqrt(rho[k + 1]) * np.exp(1j * s[k + 1])
+        lap = nonlinear_laplacian(spec, u0, s_prev=MomentumState(s=s[k]))
+        rhs = -0.5 * lap + u0.u * sse_nonlinearity(spec, rho[k])
+        if Varr is not None:
+            rhs = rhs + u0.u * Varr
+        defect = 1j * (u1 - u0.u) / dt - rhs
+        if np.any(spec.sigma != 0.0):
+            u_mid = 0.5 * (u0.u + u1)
+            defect = defect - spec.sigma * u_mid * traj.dw_path[k] / dt
+        a = np.abs(defect)
+        per_step[k] = float(np.sqrt((a**2).mean()))
+        worst = max(worst, float(a.max()))
+    return worst, float(np.sqrt((per_step**2).mean())), per_step
+
+
+def ring_trajectory(sigma, n=8, T=0.03, seed=2):
+    spec = conjugate_spec(ring_with_chords(n), sigma=sigma)
+    rho = 1.0 + 0.3 * np.cos(np.arange(n))
+    cfg = SdeConfig(energy=spec, T=T, dt=1e-3)
+    traj = simulate(cfg, DensityState(rho=rho / rho.sum()),
+                    MomentumState(s=np.linspace(-0.5, 0.5, n)), RngStream(seed, 0))
+    return spec, traj
+
+
+def pair_trajectory(sigma):
+    spec = conjugate_spec(sigma=sigma)
+    cfg = SdeConfig(energy=spec, T=0.03, dt=1e-3)
+    traj = simulate(cfg, DensityState(rho=np.array([0.35, 0.65])),
+                    MomentumState(s=np.array([0.4, -0.2])), RngStream(4, 1))
+    return spec, traj
+
+
+@pytest.mark.parametrize("make", [pair_trajectory, ring_trajectory])
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+@pytest.mark.parametrize("with_V", [False, True])
+@pytest.mark.parametrize("with_W", [False, True])
+def test_residual_matches_per_step_reference_bitwise(make, sigma, with_V, with_W):
+    spec, traj = make(sigma)
+    n = spec.graph.n
+    if with_W:
+        W = np.cos(np.add.outer(np.arange(n), np.arange(n))) ** 2
+        spec = dataclasses.replace(spec, interaction=W)
+    V = np.linspace(-0.3, 0.4, n) if with_V else None
+    stats = sse_residual(spec, V, traj)
+    worst, rms, per_step = reference_residual(spec, V, traj)
+    assert np.array_equal(stats.per_step, per_step)
+    assert stats.max_abs == worst
+    assert stats.rms == rms
+
+
+def with_row(traj, k, rho_k):
+    rho = traj.rho_path.copy()
+    rho[k] = rho_k
+    return Trajectory(traj.times, rho, traj.s_path, traj.h0_path, traj.h0v_path,
+                      traj.dw_path, traj.seed, traj.path_index)
+
+
+def raised_by(fn, *args):
+    with pytest.raises((DomainError, VacuumError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def vacuum_row(r):
+    r = r.copy()
+    r[1] += r[3]
+    r[3] = 0.0
+    return r
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+def test_residual_raises_at_a_bad_mid_horizon_row():
+    spec, traj = ring_trajectory(0.2)
+    r = traj.rho_path[12]
+    negative = r + 0.02 * np.array([1, -1, 0, 0, 0, 0, 0, 0]) - np.eye(8)[2] * (r[2] + 1e-3)
+    cases = {
+        "sum": (DomainError, r * (1.0 + 1e-9)),
+        "floor": (DomainError, negative / negative.sum()),
+        "vacuum": (VacuumError, vacuum_row(r)),
+        "nan": (DomainError, np.where(np.arange(8) == 5, np.nan, r)),
+    }
+    for name, (kind, row) in cases.items():
+        bad = with_row(traj, 12, row)
+        got = raised_by(sse_residual, spec, None, bad)
+        assert got[0] is kind, name
+        assert got == raised_by(reference_residual, spec, None, bad), name
+    # The first bad row decides the error, as in a step-by-step evaluation.
+    both = with_row(with_row(traj, 20, r * (1.0 + 1e-9)), 9, vacuum_row(traj.rho_path[9]))
+    assert raised_by(sse_residual, spec, None, both)[0] is VacuumError
+    both = with_row(with_row(traj, 9, r * (1.0 + 1e-9)), 20, vacuum_row(traj.rho_path[20]))
+    assert raised_by(sse_residual, spec, None, both)[0] is DomainError
+    # The last state is only an endpoint; like the per-step loop, it is not validated.
+    last = with_row(traj, traj.times.size - 1, r * (1.0 + 1e-9))
+    assert np.array_equal(sse_residual(spec, None, last).per_step,
+                          reference_residual(spec, None, last)[2])
+
+
+def reference_wave_csv(traj, path):
+    # The row-by-row writer.
+    n = traj.n
+    header = ["t"]
+    for i in range(n):
+        header += [f"Re(u_{i})", f"Im(u_{i})"]
+    header.append("mass")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(traj.times.size):
+            u = np.sqrt(traj.rho_path[k]) * np.exp(1j * traj.s_path[k])
+            row = [repr(float(traj.times[k]))]
+            for i in range(n):
+                row += [repr(float(u[i].real)), repr(float(u[i].imag))]
+            row.append(repr(float((np.abs(u) ** 2).sum())))
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 12])
+def test_wave_csv_bytes_match_row_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    rho = rng.dirichlet(np.ones(n), size=40)
+    traj = Trajectory(np.linspace(0.0, 0.039, 40), rho, rng.normal(0.0, 3.0, (40, n)),
+                      rng.random(40), rng.random(40), rng.normal(size=(39, n)), 0, 0)
+    wave_csv(traj, tmp_path / "a.csv")
+    reference_wave_csv(traj, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
