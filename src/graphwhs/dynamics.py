@@ -26,6 +26,14 @@ states, carry different controls and replay the same noise draw, and a
 reducer chooses what a run keeps: ``_FullPath`` (every node, the layout of
 ``batch_arrays``), a running-cost sum (``control``), or only the final
 state.
+
+Per-step cost: a step of R rows makes two drift evaluations, O(R |E|)
+elementwise work, in a fixed number of numpy calls.  At the few hundred rows
+of the Monte-Carlo estimators each call costs more in overhead than in
+arithmetic, so the step avoids numpy reductions over the short vertex axis
+(it folds the n columns, ``graphs.fold_columns``), reads its noise with one
+``take`` and re-masks the states with ``np.where`` only once a row has
+escaped.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energies import EnergySpec, dominant_array, gradient_arrays
-from .graphs import Array, DensityState, DomainError, MomentumState
+from .graphs import Array, DensityState, DomainError, MomentumState, fold_columns
 from .rng import RngStream, batch_increments
 
 
@@ -155,12 +163,12 @@ def midpoint_step(energy: EnergySpec, floor: float, rho: Array, s: Array, V, dt:
     f1r, f1s = _drift_arrays(energy, V, rho, s)
     rm = rho + 0.5 * dt * f1r
     sm = s + 0.5 * dt * f1s
-    bad = rm.min(axis=-1) <= floor
+    bad = fold_columns(np.minimum, rm) <= floor
     # Clamping only touches rows already flagged; their results are discarded.
-    f2r, f2s = _drift_arrays(energy, V, np.clip(rm, floor, None), sm)
+    f2r, f2s = _drift_arrays(energy, V, np.maximum(rm, floor), sm)
     new_rho = rho + dt * f2r
     new_s = s + dt * f2s - energy.sigma * dw
-    bad = bad | (new_rho.min(axis=-1) <= floor)
+    bad = bad | (fold_columns(np.minimum, new_rho) <= floor)
     return new_rho, new_s, bad
 
 
@@ -333,7 +341,7 @@ def run_rows(
     for k in range(steps):
         t = float(times[k])
         dt_k = last_dt if k == steps - 1 else cfg.dt
-        dw = noise.incs[noise_rows, k]
+        dw = noise.incs[:, k].take(noise_rows, axis=0)
         new_rho, new_s, bad = midpoint_step(
             cfg.energy, cfg.boundary_floor, rho, s, V, dt_k, dw
         )
@@ -350,8 +358,13 @@ def run_rows(
                     escape_time[p] = err.time
                     new_rho[p] = rho[p]
                     new_s[p] = s[p]
-        rho = np.where(alive[:, None], new_rho, rho)
-        s = np.where(alive[:, None], new_s, s)
+        if alive.all():
+            rho, s = new_rho, new_s
+        else:
+            # Rows that escaped at an earlier step were stepped again above;
+            # they stay at their last state.
+            rho = np.where(alive[:, None], new_rho, rho)
+            s = np.where(alive[:, None], new_s, s)
         V = control_at(float(times[k + 1]))
         if keep is not None:
             keep.record(k + 1, rho, s, V)

@@ -73,6 +73,20 @@ def _readonly(a: Array) -> Array:
     return a
 
 
+def fold_columns(ufunc, a: Array) -> Array:
+    """ufunc folded over the columns of a (..., n) array, left to right.
+
+    On a few hundred rows of a short last axis a numpy reduction costs
+    several elementwise ops.  ``np.minimum`` folds to exactly
+    ``a.min(axis=-1)`` for any n; ``np.add`` folds to ``a.sum(axis=-1)``
+    bitwise only for n < 8, since numpy sums 8 or more terms pairwise.
+    """
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = ufunc(out, a[..., j])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # data model
 # ---------------------------------------------------------------------------
@@ -288,8 +302,9 @@ class EdgeField:
 class ProbabilityWeight:
     """Symmetric mean g(t, r) used as edge mobility.
 
-    ``tolerance`` is the relative threshold below which the logarithmic kind
-    switches to its equal-argument series branch.
+    ``tolerance`` is the relative gap below which the logarithmic kind
+    switches to its equal-argument (midpoint) branch.  Its partial switches
+    to a power series at a fixed gap instead (``_mean_dt``).
     """
 
     kind: str = AVERAGE
@@ -360,6 +375,15 @@ def weight_partial(w: ProbabilityWeight, t, r):
     return float(gt), float(gr)
 
 
+# dg/dt of the logarithmic mean as a power series in x = (t - r)/(t + r):
+# its coefficients through x^9, highest first (Horner order).
+_DT_SERIES = (
+    -10196 / 93555, 214 / 2025, -1712 / 14175, 22 / 189, -44 / 315,
+    2 / 15, -8 / 45, 1 / 6, -1 / 3, 1 / 2,
+)
+_DT_SERIES_GAP = 2e-2
+
+
 def _mean_dt(w: ProbabilityWeight, t: Array, r: Array):
     # dg/dt on strictly positive float arrays the caller has checked; a
     # scalar for the arithmetic mean, whose partial is constant.
@@ -368,16 +392,18 @@ def _mean_dt(w: ProbabilityWeight, t: Array, r: Array):
     if w.kind == HARMONIC:
         s = t + r
         return 2.0 * r**2 / s**2
-    hi = np.maximum(t, r)
-    near = np.abs(t - r) <= w.tolerance * hi
+    # Logarithmic mean: g_t = (1 - g/t) / L, L = log(t/r).  Rounding in L
+    # and the cancellation in 1 - g/t cost about eps/x^2 relative, so for
+    # |x| <= _DT_SERIES_GAP the series takes over (closed form within
+    # 2e-13 at the seam, series within 1e-17).
+    x = (t - r) / (t + r)
+    near = np.abs(x) <= _DT_SERIES_GAP
     safe_t = np.where(near, 1.0, t)
     safe_r = np.where(near, 2.0, r)
     L = np.log(safe_t / safe_r)
     g = (safe_t - safe_r) / L
     gt = (1.0 - g / safe_t) / L
-    # Series branch: g_t = 1/2 - x/6 + O(x^2), x = (t - r)/(t + r).
-    x = (t - r) / (t + r)
-    return np.where(near, 0.5 - x / 6.0, gt)
+    return np.where(near, np.polyval(_DT_SERIES, x), gt)
 
 
 def weight_matrix(G: Graph, w: ProbabilityWeight, rho: Array) -> Array:

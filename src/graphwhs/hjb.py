@@ -36,7 +36,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.special import expit
 
 from ._kernels import fhat_norm, hjb_layer, moreau_lines
-from .control import CostSpec, _fhat_ascent, hamiltonian
+from .control import QUADRATIC_CONTROL, CostSpec, _fhat_ascent, hamiltonian
 from .energies import EnergySpec, dominant_array, energy_gradients, gradient_arrays
 from .graphs import Array, DensityState, DomainError, MomentumState, frechet_project
 
@@ -334,18 +334,39 @@ ARTIFACT_SCHEMA = 2
 VALUES_FILE = "values.npy"
 
 
-def _fingerprint(obj) -> str:
-    def clean(v):
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if callable(v):
-            return "<callable>"
-        if hasattr(v, "__dataclass_fields__"):
-            return {k: clean(getattr(v, k)) for k in v.__dataclass_fields__}
-        return v
-
-    payload = json.dumps(clean(obj), sort_keys=True, default=str)
+def _digest(values: dict) -> str:
+    payload = json.dumps(values, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def energy_hash(energy: EnergySpec) -> str:
+    """Fingerprint of the values that define the energy, not of the class layout."""
+    return _digest({
+        "omega": energy.graph.omega.tolist(),
+        "variant": energy.variant,
+        "weight": [energy.weight.kind, float(energy.weight.tolerance)],
+        "edge_interaction": energy.edge_interaction.tolist(),
+        "fisher_coeff": float(energy.fisher_coeff),
+        "sigma": energy.sigma.tolist(),
+    })
+
+
+def cost_hash(cost: CostSpec) -> str:
+    """Fingerprint of the cost family, its coefficients and its targets.
+
+    A custom running cost cannot be hashed; only its presence is recorded.
+    """
+    state_coeff = "tracking_coeff" if cost.family == QUADRATIC_CONTROL else "bound"
+    return _digest({
+        "family": cost.family,
+        "control_coeff": float(cost.control_coeff),
+        state_coeff: float(getattr(cost, state_coeff)),
+        "terminal_weight": float(cost.terminal_weight),
+        "terminal_offset": float(cost.terminal_offset),
+        "target_rho": None if cost.target_rho is None else cost.target_rho.tolist(),
+        "target_x": None if cost.target_x is None else cost.target_x.tolist(),
+        "custom_running": cost.custom_running is not None,
+    })
 
 
 @dataclass(frozen=True)
@@ -396,8 +417,8 @@ class GridValueFunction:
             "spacings": list(self.grid.spacings),
             "cfl": self.cfl,
             "ell": self.ell,
-            "cost_hash": _fingerprint(self.cost_spec) if self.cost_spec else None,
-            "energy_hash": _fingerprint(self.energy) if self.energy else None,
+            "cost_hash": cost_hash(self.cost_spec) if self.cost_spec else None,
+            "energy_hash": energy_hash(self.energy) if self.energy else None,
         }
         (path / "metadata.json").write_text(json.dumps(meta, indent=2))
 
@@ -410,9 +431,9 @@ class GridValueFunction:
                 f"grid artifact schema {meta.get('schema')!r} is not supported "
                 f"(expected {ARTIFACT_SCHEMA}); re-run `graph-whs hjb` to rewrite it"
             )
-        if cost_spec is not None and meta["cost_hash"] != _fingerprint(cost_spec):
+        if cost_spec is not None and meta["cost_hash"] != cost_hash(cost_spec):
             raise DomainError("cost spec does not match the stored fingerprint")
-        if energy is not None and meta["energy_hash"] != _fingerprint(energy):
+        if energy is not None and meta["energy_hash"] != energy_hash(energy):
             raise DomainError("energy spec does not match the stored fingerprint")
         try:
             values = np.load(path / VALUES_FILE, allow_pickle=False)

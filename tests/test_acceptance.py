@@ -1,9 +1,12 @@
 """End-to-end verification suite: one test per numbered criterion.
 
 Each test delegates to the corresponding check in `graphwhs.checks`, prints
-its single PASS/FAIL line, and asserts the verdict.  The slow entries are
-the Monte-Carlo comparisons (8 and 12); everything else finishes in seconds.
+its single PASS/FAIL line, and asserts the verdict.  The entries marked
+``slow`` are the Monte-Carlo comparisons (8 and 12) and the transport oracle
+(13); everything else finishes in seconds.
 """
+
+import pytest
 
 from graphwhs import checks
 
@@ -42,6 +45,7 @@ def test_criterion_07_legendre_transform_oracle():
     _run(checks.criterion_7)
 
 
+@pytest.mark.slow
 def test_criterion_08_dynamic_programming_consistency():
     _run(checks.criterion_8)
 
@@ -58,9 +62,11 @@ def test_criterion_11_grid_solver_sanity():
     _run(checks.criterion_11)
 
 
+@pytest.mark.slow
 def test_criterion_12_grid_solver_vs_monte_carlo():
     _run(checks.criterion_12)
 
 
+@pytest.mark.slow
 def test_criterion_13_transport_distance_oracle():
     _run(checks.criterion_13)

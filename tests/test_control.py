@@ -135,6 +135,68 @@ def test_running_cost_frozen_and_batched():
     assert np.allclose(out, [0.5, 0.0, 0.5], rtol=1e-15)
 
 
+def reference_deviation2(spec, rho, x):
+    """``CostSpec._deviation2`` with numpy's short-axis ``sum``."""
+    dev = None
+    for state, target in ((rho, spec.target_rho), (x, spec.target_x)):
+        if target is not None:
+            term = ((state - target) ** 2).sum(axis=-1)
+            dev = term if dev is None else dev + term
+    return np.zeros(np.shape(rho)[:-1]) if dev is None else dev
+
+
+def reference_running_cost(spec, t, rho, x, V):
+    """``running_cost`` with numpy's short-axis ``sum`` for ||V||^2 and the deviation."""
+    rho = np.asarray(rho, dtype=float)
+    x = np.asarray(x, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if spec.family == QUADRATIC_CONTROL:
+        state = spec.tracking_coeff * reference_deviation2(spec, rho, x)
+    else:
+        state = spec.bound * -np.expm1(-reference_deviation2(spec, rho, x))
+    out = spec.control_coeff * (V**2).sum(axis=-1) + state
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes() and np.ndim(a) == np.ndim(b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 12])
+@pytest.mark.parametrize("family", [QUADRATIC_CONTROL, BOUNDED_TRACKING])
+def test_running_cost_matches_reference_bitwise(n, family):
+    # Short rows fold column by column (bitwise equal to numpy's sum below 8
+    # terms); from n = 8 numpy's pairwise sum is kept.
+    rng = np.random.default_rng(n)
+    rows = 50
+    rho = rng.dirichlet(np.ones(n), size=rows) if n > 1 else np.ones((rows, 1))
+    x = rng.normal(scale=10.0 ** rng.integers(-3, 3, size=(rows, n)))
+    rho[1, 0] = np.nan
+    x[3, -1] = np.nan
+    rho[4, 0] = 1e-12
+    V_rows = rng.normal(size=(rows, n))
+    targets = [(None, None), (rng.dirichlet(np.ones(n)), None), (None, rng.normal(size=n)),
+               (rng.dirichlet(np.ones(n)), rng.normal(size=n))]
+    for target_rho, target_x in targets:
+        spec = CostSpec(family=family, control_coeff=0.7, tracking_coeff=1.3, bound=2.5,
+                        target_rho=target_rho, target_x=target_x)
+        for V in (V_rows, V_rows[0]):
+            got = running_cost(spec, 0.0, rho, x, V)
+            assert same_bits(got, reference_running_cost(spec, 0.0, rho, x, V))
+        assert same_bits(spec._deviation2(rho, x), reference_deviation2(spec, rho, x))
+        for r in (0, 1, 3):
+            one = slice(r, r + 1)
+            for V in (V_rows[one], V_rows[r]):
+                got = running_cost(spec, 0.0, rho[one], x[one], V)
+                assert same_bits(got, reference_running_cost(spec, 0.0, rho[one], x[one], V))
+            # One unbatched state gives a float, as in the Hamiltonian.
+            got = running_cost(spec, 0.0, rho[r], x[r], V_rows[r])
+            ref = reference_running_cost(spec, 0.0, rho[r], x[r], V_rows[r])
+            assert isinstance(got, float) and same_bits(got, ref)
+            ref = reference_deviation2(spec, rho[r], x[r])
+            assert same_bits(spec._deviation2(rho[r], x[r]), ref)
+
+
 # ---------------------------------------------------------------------------
 # the ball-constrained Legendre transform
 # ---------------------------------------------------------------------------
@@ -457,6 +519,7 @@ def test_bellman_gap_guards():
         bellman_gap(cost, cfg2, 0.0, 0.2, rho, x, {"ell": 1.0, "m": 1}, 8, 1)
 
 
+@pytest.mark.slow
 def test_bellman_gap_small_run():
     spec = EnergySpec(graph=pair_graph(), sigma=np.array([0.2, 0.2]))
     cfg = SdeConfig(energy=spec, T=0.1, dt=5e-3)

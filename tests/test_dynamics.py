@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from graphwhs import dynamics
 from graphwhs.dynamics import (
     BoundaryEscapeError,
     EscapeQuotaError,
@@ -12,6 +13,7 @@ from graphwhs.dynamics import (
     batch_arrays,
     draw_noise,
     drift_field,
+    midpoint_step,
     regularity_scan,
     run_rows,
     simulate,
@@ -19,7 +21,14 @@ from graphwhs.dynamics import (
     step,
 )
 from graphwhs.energies import EnergySpec
-from graphwhs.graphs import DensityState, DomainError, Graph, MomentumState
+from graphwhs.graphs import (
+    LOGARITHMIC,
+    DensityState,
+    DomainError,
+    Graph,
+    MomentumState,
+    ProbabilityWeight,
+)
 from graphwhs.rng import RngStream
 
 
@@ -310,3 +319,138 @@ def test_regularity_scan_input_guards():
         regularity_scan(cfg, rho0, x0, [0.1, 0.05], n_paths=2)
     with pytest.raises(DomainError):
         regularity_scan(cfg, rho0, x0, [0.1, 0.1, 0.05, 0.025], n_paths=2)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep hot loop against the bodies it replaced
+# ---------------------------------------------------------------------------
+
+def reference_midpoint_step(energy, floor, rho, s, V, dt, dw):
+    """``midpoint_step`` with numpy's short-axis ``min`` and ``np.clip``."""
+    f1r, f1s = dynamics._drift_arrays(energy, V, rho, s)
+    rm = rho + 0.5 * dt * f1r
+    sm = s + 0.5 * dt * f1s
+    bad = rm.min(axis=-1) <= floor
+    f2r, f2s = dynamics._drift_arrays(energy, V, np.clip(rm, floor, None), sm)
+    new_rho = rho + dt * f2r
+    new_s = s + dt * f2s - energy.sigma * dw
+    bad = bad | (new_rho.min(axis=-1) <= floor)
+    return new_rho, new_s, bad
+
+
+def reference_run_rows(cfg, rho, s, noise, streams, reducer=None, controls=None):
+    """``run_rows`` as it was: a 2-D fancy-index noise gather and both states
+    re-masked with ``np.where`` on every step."""
+    steps, last_dt, times = dynamics._time_grid(cfg)
+    rows = rho.shape[0]
+    control_at = cfg.control_value if controls is None else controls.value_at
+    keep = None if reducer is None else reducer(cfg, times, rows)
+    noise_rows = streams - noise.first_stream
+    alive = np.ones(rows, dtype=bool)
+    escape_time = np.full(rows, np.nan)
+    V = control_at(float(times[0]))
+    if keep is not None:
+        keep.record(0, rho, s, V)
+    for k in range(steps):
+        t = float(times[k])
+        dt_k = last_dt if k == steps - 1 else cfg.dt
+        dw = noise.incs[noise_rows, k]
+        new_rho, new_s, bad = reference_midpoint_step(
+            cfg.energy, cfg.boundary_floor, rho, s, V, dt_k, dw
+        )
+        for p in np.flatnonzero(bad & alive):
+            stream = RngStream(noise.master_seed, int(streams[p]))
+            try:
+                new_rho[p], new_s[p] = dynamics._advance_one(
+                    cfg, dynamics._row_control(control_at, p), rho[p], s[p], t, dt_k, dw[p],
+                    stream, k, dynamics._SlotCounter(), 0, int(streams[p]),
+                )
+            except BoundaryEscapeError as err:
+                alive[p] = False
+                escape_time[p] = err.time
+                new_rho[p] = rho[p]
+                new_s[p] = s[p]
+        rho = np.where(alive[:, None], new_rho, rho)
+        s = np.where(alive[:, None], new_s, s)
+        V = control_at(float(times[k + 1]))
+        if keep is not None:
+            keep.record(k + 1, rho, s, V)
+    extra = () if keep is None else keep.result()
+    return (rho, s, alive, escape_time, *extra)
+
+
+def ring_spec(n):
+    """A ring (a path for n <= 3), a chord from n = 5, log-mean mobility and an interaction."""
+    if n == 1:
+        G = Graph(n=1, omega=np.zeros((1, 1)))
+    else:
+        edges = [(i, (i + 1) % n, 1.0 + 0.1 * i) for i in range(n if n > 3 else n - 1)]
+        edges += [(0, n // 2, 0.7)] if n >= 5 else []
+        G = Graph.from_edges(n, edges)
+    raw = np.random.default_rng(n).normal(size=(n, n))
+    return EnergySpec(graph=G, weight=ProbabilityWeight(LOGARITHMIC), interaction=raw + raw.T,
+                      sigma=np.full(n, 0.3))
+
+
+def hot_loop_states(n, rows, floor):
+    """Interior rows, plus a row holding a NaN and one with a component below the floor."""
+    rng = np.random.default_rng(10 * n + rows)
+    rho = rng.dirichlet(np.ones(n), size=rows) if n > 1 else np.ones((rows, 1))
+    rho = np.maximum(rho, 0.02)
+    rho /= rho.sum(axis=-1, keepdims=True)
+    s = rng.normal(scale=3.0, size=(rows, n))
+    rho[1, -1] = np.nan
+    rho[2, 0] = 0.01 * floor
+    return rho, s, rng.normal(scale=0.1, size=(rows, n)), rng.normal(size=(rows, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 12])
+@pytest.mark.parametrize("control", ["none", "shared", "per_row"])
+def test_midpoint_step_matches_reference_bitwise(n, control):
+    floor = 1e-9
+    spec = ring_spec(n)
+    rho, s, dw, V_rows = hot_loop_states(n, 64, floor)
+    V = {"none": None, "shared": V_rows[0], "per_row": V_rows}[control]
+    with np.errstate(invalid="ignore"):
+        # dt = 0.05 pushes some midpoints below the floor, where the clamp acts.
+        got = midpoint_step(spec, floor, rho, s, V, 0.05, dw)
+        ref = reference_midpoint_step(spec, floor, rho, s, V, 0.05, dw)
+        # A NaN compares false, so only the below-floor row is flagged for sure.
+        assert ref[2][2] and not ref[2][1] and not ref[2].all()
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+        for r in range(4):
+            one = slice(r, r + 1)
+            V1 = V if control != "per_row" else V[one]
+            got = midpoint_step(spec, floor, rho[one], s[one], V1, 0.05, dw[one])
+            ref = reference_midpoint_step(spec, floor, rho[one], s[one], V1, 0.05, dw[one])
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_run_rows_matches_reference_with_mid_run_escapes():
+    # Rows that escape part-way leave the engine on its np.where branch for
+    # the remaining steps; shared and per-row controls, full paths and final
+    # states all match the loop that re-masked on every step.
+    cfg = SdeConfig(energy=pair_spec(sigma=1.0), T=0.1, dt=1e-2,
+                    control=ConstControl([0.6, -0.2]))
+    paths = 12
+    rho = np.repeat([[0.03, 0.97], [0.05, 0.95]], paths, axis=0)
+    s = np.repeat([[-1.0, 1.0], [-0.8, 0.9]], paths, axis=0)
+    noise = draw_noise(cfg, 4, paths)
+    streams = np.tile(np.arange(paths), 2)
+    got = run_rows(cfg, rho, s, noise, streams, dynamics._FullPath)
+    ref = reference_run_rows(cfg, rho, s, noise, streams, dynamics._FullPath)
+    alive, escape_time = ref[2], ref[3]
+    assert 0 < alive.sum() < alive.size
+    assert np.nanmin(escape_time) < cfg.T - 2 * cfg.dt
+    for a, b in zip(got, ref):
+        assert a.tobytes() == b.tobytes()
+
+    controls = RowControls(np.array([0.0, 0.05, 0.1]),
+                           np.random.default_rng(3).uniform(-0.5, 0.5, size=(2 * paths, 2, 2)))
+    got = run_rows(cfg, rho, s, noise, streams, controls=controls)
+    ref = reference_run_rows(cfg, rho, s, noise, streams, controls=controls)
+    assert 0 < ref[2].sum() < ref[2].size
+    for a, b in zip(got, ref):
+        assert a.tobytes() == b.tobytes()

@@ -149,6 +149,31 @@ def test_weight_partial_near_diagonal_uses_series():
     assert gr == pytest.approx(0.5, abs=1e-9)
 
 
+def test_log_mean_partial_matches_mpmath():
+    # Relative gaps t/r - 1 from 1e-12 to 0.9 of both signs, including both
+    # sides of the old midpoint seam (1e-8) and of the series seam
+    # (|x| = 1e-2 with x = (t - r)/(t + r), a gap of 2x/(1 - x)).
+    mp = pytest.importorskip("mpmath")
+    w = ProbabilityWeight(LOGARITHMIC)
+    seams = [gap * f for gap in (1e-8, 0.02 / 0.99, -0.02 / 1.01) for f in (1 - 1e-9, 1 + 1e-9)]
+    gaps = np.concatenate([np.geomspace(1e-12, 0.9, 120), [1.1e-8, 1e-7, 1e-4]])
+    gaps = np.concatenate([gaps, -gaps, seams])
+
+    def exact(a, b):
+        # dg/da = (1 - g/a) / L with g = (a - b)/L, L = log(a/b), at the float arguments.
+        with mp.workdps(50):
+            a, b = mp.mpf(float(a)), mp.mpf(float(b))
+            L = mp.log(a / b)
+            return float((1 - (a - b) / L / a) / L)
+
+    for r in (0.37, 1.0, 2e-7):
+        t = r * (1.0 + gaps)
+        gt, gr = weight_partial(w, t, np.full_like(t, r))
+        for ti, got_t, got_r in zip(t, gt, gr):
+            assert got_t == pytest.approx(exact(ti, r), rel=1e-12, abs=0.0), (ti, r)
+            assert got_r == pytest.approx(exact(r, ti), rel=1e-12, abs=0.0), (ti, r)
+
+
 def test_weight_matrix_is_edge_masked():
     G = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
     M = weight_matrix(G, ProbabilityWeight(AVERAGE), np.array([0.2, 0.3, 0.5]))

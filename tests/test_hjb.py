@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,15 +8,24 @@ from scipy.interpolate import RegularGridInterpolator
 
 from graphwhs._kernels import moreau_lines
 
-from graphwhs.control import CostSpec, hamiltonian, legendre_fhat
-from graphwhs.energies import EnergySpec, dominant_array
-from graphwhs.graphs import DensityState, DomainError, Graph, MomentumState
+from graphwhs.control import BOUNDED_TRACKING, CostSpec, hamiltonian, legendre_fhat
+from graphwhs.energies import LOGARITHMIC_ENTROPY, EnergySpec, dominant_array
+from graphwhs.graphs import (
+    HARMONIC,
+    DensityState,
+    DomainError,
+    Graph,
+    MomentumState,
+    ProbabilityWeight,
+)
 from graphwhs.hjb import (
     PROFILE_DERIV_BOUND,
     CflError,
     GridValueFunction,
     SimplexGrid,
     TruncationFn,
+    cost_hash,
+    energy_hash,
     fhat_R,
     hjb_residual,
     hjb_solve_backward,
@@ -299,6 +309,70 @@ def test_value_function_roundtrip_and_fingerprints(tmp_path):
     detached = GridValueFunction.from_dir(path)
     with pytest.raises(DomainError):
         hjb_residual(detached, [[4, 4, 4, 4]])
+
+
+def test_energy_hash_follows_the_values_that_define_the_energy():
+    def spec(cls=EnergySpec, **change):
+        values = dict(graph=Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)]),
+                      interaction=[[0.0, 0.5, 9.0], [0.5, 0.0, 0.3], [9.0, 0.3, 0.0]],
+                      fisher_coeff=0.125, sigma=[0.2, 0.2, 0.1])
+        return cls(**{**values, **change})
+
+    h = energy_hash(spec())
+    assert len(h) == 16 and int(h, 16) >= 0
+    # Equal values hash equal: ints for floats, and the interaction entry
+    # off the edge set, which the energy ignores.
+    assert energy_hash(spec(graph=Graph.from_edges(3, [(0, 1, 1), (1, 2, 2)]))) == h
+    assert energy_hash(spec(interaction=[[0, 0.5, -4], [0.5, 0, 0.3], [-4, 0.3, 0]])) == h
+    assert energy_hash(spec(fisher_coeff=0.125, sigma=np.array([0.2, 0.2, 0.1]))) == h
+
+    # A field that leaves the energy alone leaves the hash alone.
+    @dataclass(frozen=True)
+    class Annotated(EnergySpec):
+        note: str = "refactor"
+
+    assert energy_hash(spec(Annotated)) == h
+
+    changes = [
+        dict(graph=Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.5)])),
+        dict(graph=Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1e-3)])),
+        dict(variant=LOGARITHMIC_ENTROPY),
+        dict(weight=ProbabilityWeight(HARMONIC)),
+        dict(weight=ProbabilityWeight(tolerance=1e-9)),
+        dict(interaction=[[0.0, 0.5, 9.0], [0.5, 0.0, 0.31], [9.0, 0.31, 0.0]]),
+        dict(fisher_coeff=0.25),
+        dict(sigma=[0.2, 0.2, 0.0]),
+    ]
+    hashes = {energy_hash(spec(**change)) for change in changes}
+    assert len(hashes) == len(changes) and h not in hashes
+
+
+def test_cost_hash_follows_the_family_coefficients_and_targets():
+    base = dict(control_coeff=0.5, tracking_coeff=0.4, bound=1.0, target_rho=[0.5, 0.5],
+                target_x=[0.0, 0.0], terminal_weight=1.0, terminal_offset=0.0)
+    h = cost_hash(CostSpec(**base))
+    assert len(h) == 16
+    assert cost_hash(CostSpec(**{**base, "target_x": np.zeros(2), "terminal_weight": 1})) == h
+    # The quadratic family has no saturation height; the bounded one no tracking weight.
+    assert cost_hash(CostSpec(**{**base, "bound": 7.0})) == h
+    bounded = {**base, "family": BOUNDED_TRACKING}
+    assert cost_hash(CostSpec(**{**bounded, "tracking_coeff": 7.0})) == cost_hash(
+        CostSpec(**bounded))
+    changes = [
+        dict(family=BOUNDED_TRACKING),
+        dict(control_coeff=0.6),
+        dict(tracking_coeff=0.5),
+        dict(target_rho=[0.4, 0.6]),
+        dict(target_rho=None),
+        dict(target_x=[0.0, 0.1]),
+        dict(target_x=None),
+        dict(terminal_weight=2.0),
+        dict(terminal_offset=0.1),
+        dict(custom_running=lambda t, rho, x, V: 0.0),
+    ]
+    hashes = {cost_hash(CostSpec(**{**base, **change})) for change in changes}
+    hashes.add(cost_hash(CostSpec(**{**bounded, "bound": 2.0})))
+    assert len(hashes) == len(changes) + 1 and h not in hashes
 
 
 def test_schema_1_grid_artifact_is_refused(tmp_path):
