@@ -1,13 +1,17 @@
-"""Hot numeric kernels: grid-solver layer sweeps and Moreau line transforms.
+"""Hot numeric kernels: grid-solver layer sweeps, Moreau line transforms and
+multilinear interpolation.
 
-Both are vectorized numpy.  The layer sweep treats grid cells independently
-(it reads only from the previous layer).  The Moreau line transform is bound
-by memory traffic.  ``fhat_norm`` is the one closed form of the
-ball-constrained Legendre transform; ``control`` and the layer sweep both
-use it.
+All are numpy.  The layer sweep treats grid cells independently (it reads
+only from the previous layer).  The Moreau line transform is bound by memory
+traffic.  ``fhat_norm`` is the one closed form of the ball-constrained
+Legendre transform; ``control`` and the layer sweep both use it.  The
+interpolators serve ``hjb`` (grid values) and ``control`` (the nested
+lattice), so they live here, below both.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -95,3 +99,78 @@ def moreau_lines(vals: np.ndarray, coords: np.ndarray, weight: float, theta: flo
         np.subtract(vt[j][None, :], pen[:, j][:, None], out=tmp)
         np.maximum(out, tmp, out=out)
     return out.T
+
+
+# ---------------------------------------------------------------------------
+# Multilinear interpolation on a rectilinear grid.  Both functions repeat the
+# arithmetic of scipy's linear RegularGridInterpolator step for step, so they
+# agree with it bitwise:
+#   cell k = clip(searchsorted(g, p, "right") - 1, 0, len(g) - 2),
+#   fraction y = (p - g[k]) / (g[k + 1] - g[k]),
+#   corners in itertools.product order (first axis most significant), each
+#   weighted by ((1 * w0) * w1) * ... with w = 1 - y below and y above,
+#   terms summed left to right onto 0.0.
+# A length-1 axis contributes its one node with weight 1 (scipy's index -1
+# with fraction 0) and a corner of weight 0.
+# ---------------------------------------------------------------------------
+
+def multilinear(axes, values: np.ndarray, points) -> np.ndarray:
+    """Interpolate ``values`` on the grid ``axes`` at (rows, d) ``points``.
+
+    Outside the grid the edge cell's formula extrapolates, and a point with
+    a NaN coordinate gives NaN: scipy's ``bounds_error=False,
+    fill_value=None``.
+    """
+    pts = np.asarray(points, dtype=float)
+    rows = pts.shape[0]
+    # Corner-major: row c of idx/weight is corner c for every point.
+    idx = np.zeros((1, rows), dtype=np.intp)
+    weight = np.ones((1, rows))
+    for i, (g, p) in enumerate(zip(axes, pts.T)):
+        m = g.size
+        if m == 1:
+            k = np.zeros(rows, dtype=np.intp)
+            y = np.zeros(rows)
+        else:
+            # == clip(searchsorted(g, p, "right") - 1, 0, m - 2), NaN included
+            k = np.searchsorted(g[1:-1], p, "right")
+            lo = g.take(k)
+            y = (p - lo) / (g[1:].take(k) - lo)
+        pair = np.stack([k, k + (m > 1)])
+        idx = (idx[:, None] * m + pair).reshape(2 << i, rows)
+        weight = (weight[:, None] * np.stack([1.0 - y, y])).reshape(2 << i, rows)
+    terms = values.take(idx) * weight
+    out = np.zeros(rows)
+    for term in terms:
+        out += term
+    out[np.isnan(pts).any(axis=-1)] = np.nan
+    return out
+
+
+def multilinear_at(axes, values: np.ndarray, point) -> float:
+    """``multilinear`` at one point, which must lie inside a grid whose
+    axes have two or more nodes each.
+
+    A point outside the grid or with a NaN coordinate raises ``ValueError``
+    (scipy's ``bounds_error=True``).  ``multilinear`` makes some fifty numpy
+    calls whatever the number of points, so one probe costs about ten times
+    more there than here, where plain floats bisect the axis lists and
+    ``ndarray.item`` reads the 2**d corner values.
+    """
+    corners = [(0, 1.0)]  # (flat C-order offset, weight)
+    stride = values.size
+    for i, (g, m, p) in enumerate(zip(axes, values.shape, point)):
+        g = g.tolist()
+        p = float(p)
+        if not g[0] <= p <= g[-1]:
+            raise ValueError(f"a point is outside the grid in dimension {i}")
+        stride //= m
+        k = min(bisect_right(g, p) - 1, m - 2)
+        y = (p - g[k]) / (g[k + 1] - g[k])
+        pair = ((k * stride, 1.0 - y), ((k + 1) * stride, y))
+        corners = [(off + o, w * v) for off, w in corners for o, v in pair]
+    item = values.item
+    out = 0.0
+    for off, w in corners:
+        out += item(off) * w
+    return out

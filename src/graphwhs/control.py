@@ -52,9 +52,8 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
-from ._kernels import fhat_norm
+from ._kernels import fhat_norm, multilinear
 from .dynamics import (
     EscapeQuotaError,
     Noise,
@@ -602,6 +601,10 @@ def bellman_gap(
         raise DomainError("the nested lattice evaluation is specialized to n = 2")
     if not cfg.t0 <= t < t_bar <= cfg.T:
         raise DomainError("need t < t_bar <= T")
+    shape = np.asarray(lattice_shape)
+    if shape.shape != (3,) or shape.dtype.kind not in "iu" or (shape < 1).any():
+        raise DomainError("lattice_shape must be three positive ints")
+    lattice_shape = tuple(shape.tolist())
     inner_paths = inner_paths or max(n_paths // 4, 200)
     ell = float(control_class.get("ell", 1.0))
 
@@ -649,10 +652,10 @@ def bellman_gap(
     )
     inner_values = np.array([est.value for est in inner]).reshape(lattice_shape)
     inner_se_max = max(0.0, *(est.std_error for est in inner))
-    interp = RegularGridInterpolator(axes, inner_values, bounds_error=False, fill_value=None)
 
     def middle_terminal(rho_T, s_T):
-        return interp(np.stack([rho_T[:, 0], s_T[:, 0], s_T[:, 1]], axis=1))
+        points = np.stack([rho_T[:, 0], s_T[:, 0], s_T[:, 1]], axis=1)
+        return multilinear(axes, inner_values, points)
 
     def middle(owners, trials):
         signals = [ControlSignal(breakpoints=[t, t_bar], values=v, ell=ell) for v in trials]

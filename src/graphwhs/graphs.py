@@ -42,7 +42,6 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 Array = np.ndarray
 
@@ -592,10 +591,12 @@ def two_node_distance_oracle(w: ProbabilityWeight, omega: float, a: float, b: fl
     if a == b:
         return 0.0
 
+    from scipy.integrate import quad  # on first use: importing graphwhs skips scipy.integrate
+
     def integrand(r):
         return 1.0 / math.sqrt(omega * weight_eval(w, r, 1.0 - r))
 
-    val, err = integrate.quad(integrand, a, b, limit=200)
+    val, err = quad(integrand, a, b, limit=200)
     if not np.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
         raise ArithmeticError("quadrature failed to converge")
     return abs(val)

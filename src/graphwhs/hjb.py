@@ -28,14 +28,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.special import expit
 
-from ._kernels import fhat_norm, hjb_layer, moreau_lines
+from ._kernels import fhat_norm, hjb_layer, moreau_lines, multilinear_at
 from .control import QUADRATIC_CONTROL, CostSpec, _fhat_ascent, hamiltonian
 from .energies import EnergySpec, dominant_array, energy_gradients, gradient_arrays
 from .graphs import Array, DensityState, DomainError, MomentumState, frechet_project
@@ -393,12 +391,9 @@ class GridValueFunction:
         g = self.grid
         return (g.t_axis, g.rho1_axis, g.x1_axis, g.x2_axis)
 
-    @cached_property
-    def _interpolator(self) -> RegularGridInterpolator:
-        return RegularGridInterpolator(self.axes, self.values)
-
     def evaluate(self, t: float, rho1: float, x1: float, x2: float) -> float:
-        return float(self._interpolator(np.array([[t, rho1, x1, x2]]))[0])
+        """Multilinear interpolant at one point; ``ValueError`` outside the grid."""
+        return multilinear_at(self.axes, self.values, (t, rho1, x1, x2))
 
     def to_dir(self, path) -> None:
         """Write ``values.npy`` (the whole (nt, nr, n1, n2) array) and ``metadata.json``."""

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphwhs
 from graphwhs.cli import ExperimentConfig, main
 
 
@@ -275,3 +280,18 @@ def test_removed_options_are_usage_errors(tmp_path, capsys):
 def test_help_and_version_exit_clean():
     assert main(["--help"]) == 0
     assert main(["--version"]) == 0
+
+
+def test_import_skips_scipy_interpolate_and_integrate():
+    """Interpolation is graphwhs's own; quadrature is imported on first use."""
+    code = (
+        "import sys, graphwhs, graphwhs.cli, graphwhs.checks; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.interpolate', 'scipy.integrate'))))"
+    )
+    src = str(Path(graphwhs.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

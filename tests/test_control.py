@@ -519,6 +519,23 @@ def test_bellman_gap_guards():
         bellman_gap(cost, cfg2, 0.0, 0.2, rho, x, {"ell": 1.0, "m": 1}, 8, 1)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (2, 2, 2, 2), (3, 0, 3), (3, -1, 3), (2.0, 2, 2), 4])
+def test_bellman_gap_rejects_bad_lattice_shape_before_simulating(shape, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before lattice_shape was checked")
+
+    monkeypatch.setattr("graphwhs.control.value_function_mc", no_simulation)
+    monkeypatch.setattr("graphwhs.control.run_rows", no_simulation)
+    cfg = noiseless_cfg(T=0.1, dt=5e-3)
+    rho = DensityState(rho=np.array([0.35, 0.65]))
+    x = MomentumState(s=np.array([0.4, -0.2]))
+    with pytest.raises(DomainError, match="lattice_shape"):
+        bellman_gap(
+            plain_cost(), cfg, 0.0, 0.05, rho, x, {"ell": 1.0, "m": 1}, 8, 1,
+            lattice_shape=shape,
+        )
+
+
 @pytest.mark.slow
 def test_bellman_gap_small_run():
     spec = EnergySpec(graph=pair_graph(), sigma=np.array([0.2, 0.2]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from graphwhs._kernels import moreau_lines
+from graphwhs._kernels import moreau_lines, multilinear, multilinear_at
 
 from graphwhs.control import BOUNDED_TRACKING, CostSpec, hamiltonian, legendre_fhat
 from graphwhs.energies import LOGARITHMIC_ENTROPY, EnergySpec, dominant_array
@@ -405,7 +405,7 @@ def test_grid_artifact_refuses_object_and_pickled_values(tmp_path):
         GridValueFunction.from_dir(path)
 
 
-def test_evaluate_reuses_one_interpolator():
+def test_evaluate_matches_scipy_interpolator_bitwise():
     energy = pair_energy()
     grid = SimplexGrid.build(energy, 1.0, 0.25, shape=(9, 9, 9, 16))
     gvf = hjb_solve_backward(grid, tracking_cost(), energy, 1.0)
@@ -415,12 +415,69 @@ def test_evaluate_reuses_one_interpolator():
         rng.uniform(-1.0, 1.0, 20), rng.uniform(-1.0, 1.0, 20),
     ])
     first = gvf.evaluate(*probes[0])
-    interp = gvf._interpolator
     for p in probes:
         fresh = RegularGridInterpolator(gvf.axes, gvf.values)(p[None, :])[0]
         assert gvf.evaluate(*p) == float(fresh)
-    assert gvf._interpolator is interp
     assert gvf.evaluate(*probes[0]) == first
+    with pytest.raises(ValueError):
+        gvf.evaluate(0.3, 0.5, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# multilinear interpolation: bitwise parity with scipy's linear interpolator
+# ---------------------------------------------------------------------------
+
+def random_grid(rng, shape):
+    axes = [np.sort(rng.uniform(-1.0, 1.0, m)) for m in shape]
+    for g in axes:
+        assert np.all(np.diff(g) > 0)
+    return axes, rng.normal(size=shape)
+
+
+def test_multilinear_matches_scipy_on_4d_grid():
+    rng = np.random.default_rng(41)
+    axes, values = random_grid(rng, (5, 4, 6, 7))
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    upper = np.array([[g[-1] for g in axes], [axes[0][-1], axes[1][0], axes[2][-1], axes[3][2]]])
+    lo = np.array([g[0] for g in axes])
+    hi = np.array([g[-1] for g in axes])
+    interior = lo + (hi - lo) * rng.uniform(0.0, 1.0, (400, 4))
+    ref = RegularGridInterpolator(axes, values)
+    for points in (nodes, upper, interior):
+        want = ref(points)
+        assert np.array_equal(multilinear(axes, values, points), want)
+        assert np.array_equal([multilinear_at(axes, values, p) for p in points], want)
+
+
+def test_multilinear_at_rejects_outside_and_nan_points():
+    rng = np.random.default_rng(42)
+    axes, values = random_grid(rng, (5, 4, 6, 7))
+    inside = [float(np.mean(g)) for g in axes]
+    for dim in range(4):
+        for bad in (axes[dim][0] - 1e-12, axes[dim][-1] + 1e-12, np.nan):
+            point = list(inside)
+            point[dim] = bad
+            with pytest.raises(ValueError):
+                RegularGridInterpolator(axes, values)([point])
+            with pytest.raises(ValueError, match=f"dimension {dim}"):
+                multilinear_at(axes, values, point)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (2, 2, 2), (1, 2, 3), (3, 1, 1)])
+def test_multilinear_extrapolates_like_scipy(shape):
+    rng = np.random.default_rng(43)
+    axes, values = random_grid(rng, shape)
+    points = rng.uniform(-2.0, 2.0, (300, 3))  # many outside the hull
+    points[:3] = [[g[0] for g in axes], [g[-1] for g in axes], [g[-1] + 0.5 for g in axes]]
+    for dim in range(3):
+        points[10 + dim, dim] = np.nan
+    points[13] = np.nan
+    want = RegularGridInterpolator(axes, values, bounds_error=False, fill_value=None)(points)
+    got = multilinear(axes, values, points)
+    assert np.isnan(got[10:14]).all()
+    assert got.tobytes() == want.tobytes()  # NaN rows included
+    empty = np.empty((0, 3))
+    assert multilinear(axes, values, empty).shape == (0,)
 
 
 def test_residual_report():
