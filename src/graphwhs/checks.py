@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .control import (
     legendre_fhat,
     value_function_mc,
 )
-from .dynamics import SdeConfig, batch_arrays, regularity_scan, simulate
+from .dynamics import ControlSignal, SdeConfig, batch_arrays, regularity_scan, simulate
 from .energies import (
     LOGARITHMIC_ENTROPY,
     POLYNOMIAL_INTERACTION,
@@ -321,17 +321,10 @@ def criterion_5() -> CheckResult:
         rho0 = DensityState(rho=_random_interior_rho(rng, n, floor=0.15))
         x0 = MomentumState(s=rng.normal(0.0, 0.5, n))
         V = rng.normal(0.0, 0.5, n)
-
-        class _Const:
-            def __init__(self, v):
-                self.v = v
-
-            def value_at(self, t):
-                return self.v
-
+        control = ControlSignal.constant(V, 0.0, 0.04, 1.0 + float(np.linalg.norm(V)))
         rms = []
         for dt in (1e-3, 5e-4, 2.5e-4):
-            cfg = SdeConfig(energy=spec, T=0.04, dt=dt, control=_Const(V))
+            cfg = SdeConfig(energy=spec, T=0.04, dt=dt, control=control)
             traj = simulate(cfg, rho0, x0, RngStream(0, 0))
             for k in range(traj.times.size):
                 u = madelung_forward(

@@ -197,9 +197,9 @@ class ExperimentConfig:
             out=effective_out,
         )
 
-    def sde_config(self, with_control: bool = True) -> SdeConfig:
+    def sde_config(self) -> SdeConfig:
         control = None
-        if with_control and self.constant_control is not None:
+        if self.constant_control is not None:
             control = ControlSignal.constant(
                 self.constant_control, self.solver["t0"], self.solver["T"], self.ell
             )
@@ -221,7 +221,8 @@ class ExperimentConfig:
         return 0.5 * (self.solver["t0"] + self.solver["T"])
 
     def default_class(self) -> dict:
-        return dict(self.control_class) if self.control_class else {"m": 1}
+        """The configured class, {"m": 1} if none, with the config's ell unless it sets one."""
+        return {"ell": self.ell, **(self.control_class or {"m": 1})}
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +391,10 @@ def cost(config_path, seed, out_dir):
     """Expected cost of the configured (constant) control."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     rho0, x0 = cfg.start_state()
-    control = None
-    if cfg.constant_control is not None:
-        control = ControlSignal.constant(
-            cfg.constant_control, cfg.solver["t0"], cfg.solver["T"], cfg.ell
-        )
+    sde = cfg.sde_config()
     est = cost_functional(
-        cfg.cost, cfg.sde_config(with_control=False), cfg.solver["t0"], rho0, x0,
-        control, int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.cost, sde, cfg.solver["t0"], rho0, x0, sde.control, int(cfg.solver["n_paths"]),
+        cfg.seed,
     )
     _publish(cfg, "cost", lambda d: _dump(d / "cost.json", est.to_dict()))
 
@@ -409,11 +406,9 @@ def value(config_path, seed, out_dir):
     """Monte Carlo value-function upper approximation at the start state."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     rho0, x0 = cfg.start_state()
-    klass = cfg.default_class()
-    klass.setdefault("ell", cfg.ell)
     est = value_function_mc(
-        cfg.cost, cfg.sde_config(with_control=False), cfg.solver["t0"], rho0, x0,
-        klass, int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.cost, cfg.sde_config(), cfg.solver["t0"], rho0, x0,
+        cfg.default_class(), int(cfg.solver["n_paths"]), cfg.seed,
         budget=float(cfg.solver["budget"]),
     )
     _publish(cfg, "value", lambda d: _dump(d / "value.json", est.to_dict()))
@@ -426,12 +421,10 @@ def bellman(config_path, seed, out_dir):
     """Dynamic-programming gap diagnostic at the configured split time."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
     rho0, x0 = cfg.start_state()
-    klass = cfg.default_class()
-    klass.setdefault("ell", cfg.ell)
     inner = cfg.solver["inner_paths"]
     gap, se, detail = bellman_gap(
-        cfg.cost, cfg.sde_config(with_control=False), cfg.solver["t0"], cfg.t_bar(),
-        rho0, x0, klass, int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.cost, cfg.sde_config(), cfg.solver["t0"], cfg.t_bar(),
+        rho0, x0, cfg.default_class(), int(cfg.solver["n_paths"]), cfg.seed,
         inner_paths=None if inner is None else int(inner),
         return_detail=True,
     )

@@ -1,7 +1,8 @@
 """Costs, controls, the control Hamiltonian, and Monte-Carlo values.
 
-Controls are ball-constrained piecewise-constant signals.  Two built-in cost
-families keep the control dependence purely quadratic,
+Controls are ball-constrained piecewise-constant signals (``ControlSignal``,
+re-exported from ``dynamics``).  Two built-in cost families keep the control
+dependence purely quadratic,
 
     F(t, rho, x, V) = c ||V||^2 + G(t, rho, x),
 
@@ -23,7 +24,8 @@ Value estimates come from pathwise Monte Carlo over a parameterized control
 class (an upper approximation of the adapted-control infimum), optimized
 with common random numbers: every candidate reuses the same increment
 streams, so comparisons are noise-free to first order and results are
-deterministic given (config, seed).
+deterministic given (config, seed).  The class (``_read_class``) is the one
+source of the ball radius; the estimators ignore ``cfg.control``.
 
 All estimators run on the lockstep engine of ``dynamics.run_rows``:
 
@@ -31,11 +33,13 @@ All estimators run on the lockstep engine of ``dynamics.run_rows``:
   value, the middle search of ``bellman_gap`` with its reachable-cloud
   probes, and all inner lattice nodes each replay one draw; the nodes share
   streams 0..inner_paths-1.
-* Each batch row carries its own start state and control, so every pending
+* A run's control is ``cfg.control``: ``cost_functional``'s one signal,
+  shared by every path, or a search's (rows, m, n) stack, so every pending
   candidate of every search advances in one batch.  The coordinate-wise
   golden-section search is a coroutine (``_coordinate_search``); K of them
-  run side by side (``_lockstep``), each with its own budget and early
-  exits, and give bitwise the results of K separate searches.
+  run side by side (``_lockstep``, via ``_value_search``), each with its own
+  budget and early exits, and give bitwise the results of K separate
+  searches.
 * A reducer decides what a run keeps.  ``_RunningCost`` sums the
   left-rectangle running cost inside the step loop and stores no paths;
   the terminal functional (``terminal_cost``, or the lattice interpolant
@@ -47,7 +51,7 @@ All estimators run on the lockstep engine of ``dynamics.run_rows``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -55,12 +59,11 @@ import numpy as np
 
 from ._kernels import fhat_norm, multilinear
 from .dynamics import (
+    ControlSignal,
     EscapeQuotaError,
     Noise,
-    RowControls,
     SdeConfig,
     draw_noise,
-    piece_index,
     run_rows,
 )
 from .energies import EnergySpec, gradient_arrays
@@ -71,41 +74,6 @@ BOUNDED_TRACKING = "bounded_tracking"
 FAMILIES = (QUADRATIC_CONTROL, BOUNDED_TRACKING)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class ControlSignal:
-    """Piecewise-constant control: values[i] on [breakpoints[i], breakpoints[i+1])."""
-
-    breakpoints: Array  # (m+1,) increasing, spanning the horizon
-    values: Array       # (m, n), each row inside the ell-ball
-    ell: float
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if bp.ndim != 1 or bp.size != vals.shape[0] + 1:
-            raise ShapeError("need one more breakpoint than control pieces")
-        if np.any(np.diff(bp) <= 0.0):
-            raise DomainError("breakpoints must be strictly increasing")
-        if self.ell <= 0.0:
-            raise DomainError("control radius must be positive")
-        norms = np.sqrt((vals**2).sum(axis=1))
-        if np.any(norms > self.ell * (1.0 + 1e-12)):
-            raise DomainError("control value outside the admissible ball")
-        bp = bp.copy()
-        bp.setflags(write=False)
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def constant(cls, V, t0: float, T: float, ell: float) -> "ControlSignal":
-        return cls(breakpoints=np.array([t0, T]), values=np.atleast_2d(V), ell=ell)
-
-    def value_at(self, t: float) -> Array:
-        return self.values[piece_index(self.breakpoints, t)]
 
 
 @dataclass(frozen=True)
@@ -292,13 +260,7 @@ class ValueEstimate:
     trace: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_paths": self.n_paths,
-            "control_class": self.control_class,
-            "trace": self.trace,
-        }
+        return asdict(self)
 
 
 class _Estimate(NamedTuple):
@@ -343,22 +305,21 @@ def _cost_estimates(
     cost: CostSpec,
     cfg: SdeConfig,
     starts: list,
-    controls: RowControls,
     noise: Noise,
     terminal,
 ) -> list[_Estimate]:
     """Cost estimates of len(starts) runs advanced in one lockstep batch.
 
-    Run i starts at starts[i] = (rho, s), follows the control rows of block i,
-    and replays every path of the noise draw (common random numbers).
-    ``terminal(rho, s)`` scores the surviving final states.
+    Run i starts at starts[i] = (rho, s), follows cfg.control (shared, or
+    its rows of block i) and replays every path of the noise draw (common
+    random numbers).  ``terminal(rho, s)`` scores the surviving final states.
     """
     paths = noise.incs.shape[0]
     rho = np.repeat(np.stack([r for r, _ in starts]), paths, axis=0)
     s = np.repeat(np.stack([x for _, x in starts]), paths, axis=0)
     streams = np.tile(noise.first_stream + np.arange(paths), len(starts))
     rho_T, s_T, alive, _, total = run_rows(
-        cfg, rho, s, noise, streams, partial(_RunningCost, cost), controls
+        cfg, rho, s, noise, streams, partial(_RunningCost, cost)
     )
     out = []
     for rows, keep in _blocks(alive, paths):
@@ -367,11 +328,6 @@ def _cost_estimates(
         se = float(costs.std(ddof=1) / math.sqrt(costs.size)) if costs.size > 1 else 0.0
         out.append(_Estimate(float(costs.mean()), se, int(costs.size)))
     return out
-
-
-def _signal_rows(signals: list, paths: int) -> RowControls:
-    values = np.repeat(np.stack([sig.values for sig in signals]), paths, axis=0)
-    return RowControls(signals[0].breakpoints, values)
 
 
 def cost_functional(
@@ -385,13 +341,13 @@ def cost_functional(
     master_seed: int,
 ) -> ValueEstimate:
     """MC estimate of the expected running-plus-terminal cost of one control."""
-    run_cfg = replace(cfg, t0=t, control=None)
     if control is None:
         # The zero control moves and costs exactly what no control does.
         control = ControlSignal.constant(np.zeros(rho.n), t, cfg.T, 1.0)
+    run_cfg = replace(cfg, t0=t, control=control)
     est = _cost_estimates(
-        cost, run_cfg, [(rho.rho, x.s)], _signal_rows([control], n_paths),
-        draw_noise(run_cfg, master_seed, n_paths), cost.terminal_cost,
+        cost, run_cfg, [(rho.rho, x.s)], draw_noise(run_cfg, master_seed, n_paths),
+        cost.terminal_cost,
     )[0]
     return ValueEstimate(
         value=est.mean,
@@ -490,14 +446,47 @@ def _lockstep(searches: list, estimate) -> list:
     return results
 
 
-def _class_breakpoints(control_class: dict, t: float, T: float) -> Array:
+class _ControlClass(NamedTuple):
+    breakpoints: Array
+    ell: float
+    sweeps: int
+    golden_iters: int
+
+
+def _read_class(control_class: dict, t: float, T: float) -> _ControlClass:
+    """The control class on [t, T], validated; DomainError for anything else.
+
+    Keys: ``ell`` > 0, the ball radius (default 1.0); ``m`` >= 1 equal
+    pieces (default 1), or ``breakpoints`` strictly increasing from t to T,
+    which take precedence; ``sweeps`` >= 1 (default 2) and ``golden_iters``
+    >= 0 (default 14).
+    """
+    unknown = set(control_class) - {"ell", "m", "breakpoints", "sweeps", "golden_iters"}
+    if unknown:
+        raise DomainError(f"unknown control class keys {sorted(unknown)}")
+    ell = control_class.get("ell", 1.0)
+    is_number = type(ell) in (int, float) or isinstance(ell, np.number)
+    if not (is_number and 0.0 < ell < math.inf):
+        raise DomainError("control class ell must be a positive number")
+    m = _class_int(control_class, "m", 1, 1)
+    sweeps = _class_int(control_class, "sweeps", 2, 1)
+    iters = _class_int(control_class, "golden_iters", 14, 0)
     if "breakpoints" in control_class:
         bp = np.asarray(control_class["breakpoints"], dtype=float)
+        if bp.ndim != 1 or bp.size < 2 or not (np.diff(bp) > 0.0).all():
+            raise DomainError("class breakpoints must be strictly increasing")
         if abs(bp[0] - t) > 1e-12 or abs(bp[-1] - T) > 1e-12:
             raise DomainError("class breakpoints must span [t, T]")
-        return bp
-    m = int(control_class.get("m", 1))
-    return np.linspace(t, T, m + 1)
+    else:
+        bp = np.linspace(t, T, m + 1)
+    return _ControlClass(bp, float(ell), sweeps, iters)
+
+
+def _class_int(control_class: dict, key: str, default: int, low: int) -> int:
+    value = control_class.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise DomainError(f"control class {key} must be an int >= {low}")
+    return int(value)
 
 
 def value_function_mc(
@@ -519,43 +508,45 @@ def value_function_mc(
     beyond a few pieces; the classes used here stay small).  All candidates
     share increments through the fixed master seed.
     """
+    klass = _read_class(control_class, t, cfg.T)
+    run_cfg = replace(cfg, t0=t)
     return _value_search(
-        cost, cfg, t, [(rho.rho, x.s)], control_class, n_paths, master_seed, budget
+        cost, run_cfg, [(rho.rho, x.s)], klass, draw_noise(run_cfg, master_seed, n_paths),
+        budget,
     )[0]
 
 
 def _value_search(
     cost: CostSpec,
     cfg: SdeConfig,
-    t: float,
     starts: list,
-    control_class: dict,
-    n_paths: int,
-    master_seed: int,
+    klass: _ControlClass,
+    noise: Noise,
     budget: float,
+    terminal=None,
 ) -> list[ValueEstimate]:
-    """``value_function_mc`` at several start states, searched in lockstep.
+    """``value_function_mc`` on [cfg.t0, cfg.T] at several starts, searched in lockstep.
 
-    Every start replays the same noise draw, and each keeps its own budget
-    and early exits, so its estimate equals a separate call bitwise.
+    Every start replays the caller's noise draw, and each keeps its own
+    budget and early exits, so its estimate equals a separate call bitwise.
+    ``terminal(rho, s)`` scores the final states (default: the cost's
+    terminal cost).
     """
-    ell = float(control_class.get("ell", getattr(cfg.control, "ell", 1.0)))
-    bp = _class_breakpoints(control_class, t, cfg.T)
+    bp, ell = klass.breakpoints, klass.ell
     m = bp.size - 1
     n = cfg.energy.graph.n
-    run_cfg = replace(cfg, t0=t, control=None)
-    noise = draw_noise(run_cfg, master_seed, n_paths)
-    sweeps = int(control_class.get("sweeps", 2))
-    iters = int(control_class.get("golden_iters", 14))
+    paths = noise.incs.shape[0]
+    terminal = cost.terminal_cost if terminal is None else terminal
 
     def estimate(owners, trials):
-        signals = [ControlSignal(breakpoints=bp, values=v, ell=ell) for v in trials]
+        signal = ControlSignal(bp, np.repeat(np.stack(trials), paths, axis=0), ell)
         return _cost_estimates(
-            cost, run_cfg, [starts[i] for i in owners], _signal_rows(signals, n_paths),
-            noise, cost.terminal_cost,
+            cost, replace(cfg, control=signal), [starts[i] for i in owners], noise, terminal
         )
 
-    searches = [_coordinate_search(m, n, ell, sweeps, iters, budget) for _ in starts]
+    searches = [
+        _coordinate_search(m, n, ell, klass.sweeps, klass.golden_iters, budget) for _ in starts
+    ]
     out = []
     for params, best, evals, flagged in _lockstep(searches, estimate):
         out.append(ValueEstimate(
@@ -564,7 +555,7 @@ def _value_search(
             n_paths=best.n_paths,
             control_class=f"piecewise-constant m={m}, ell={ell}",
             trace={
-                "seed": master_seed,
+                "seed": noise.master_seed,
                 "budget": budget,
                 "evals": evals,
                 "flagged": flagged,
@@ -593,8 +584,10 @@ def bellman_gap(
 
     The inner value is evaluated on a small lattice covering the reachable
     cloud at t_bar and interpolated multilinearly (n = 2 states only).
-    Returns (gap, combined standard error); with ``return_detail`` a dict of
-    the intermediate estimates is appended.
+    Every search and probe uses the class's ball radius ``ell`` (default
+    1.0); ``cfg.control`` plays no part.  Returns (gap, combined standard
+    error); with ``return_detail`` a dict of the intermediate estimates is
+    appended.
     """
     n = rho.n
     if n != 2:
@@ -606,27 +599,25 @@ def bellman_gap(
         raise DomainError("lattice_shape must be three positive ints")
     lattice_shape = tuple(shape.tolist())
     inner_paths = inner_paths or max(n_paths // 4, 200)
-    ell = float(control_class.get("ell", 1.0))
+    klass = _read_class(control_class, t, cfg.T)
 
-    outer_class = dict(control_class)
-    outer_class["breakpoints"] = [t, t_bar, cfg.T]
+    outer_class = dict(control_class, breakpoints=[t, t_bar, cfg.T])
     outer = value_function_mc(cost, cfg, t, rho, x, outer_class, n_paths, master_seed)
 
     # Reachable cloud at t_bar under a few probe controls fixes the lattice.
     # The probes replay the first paths of the middle search's noise draw.
-    seg_cfg = replace(cfg, t0=t, T=t_bar, control=None)
+    seg_cfg = replace(cfg, t0=t, T=t_bar)
     seg_noise = draw_noise(seg_cfg, master_seed, n_paths)
     probe_paths = min(n_paths, 400)
-    corner = ell / math.sqrt(n)
+    corner = klass.ell / math.sqrt(n)
     probes = np.array([[0.0] * n, [corner] * n, [-corner] * n])
-    probe_rows = RowControls(np.array([t, t_bar]), np.repeat(probes[:, None], probe_paths, axis=0))
+    probe_values = np.repeat(probes[:, None], probe_paths, axis=0)
     rho_T, s_T, alive, _ = run_rows(
-        seg_cfg,
+        replace(seg_cfg, control=ControlSignal([t, t_bar], probe_values, klass.ell)),
         np.tile(rho.rho, (3 * probe_paths, 1)),
         np.tile(x.s, (3 * probe_paths, 1)),
         seg_noise,
         np.tile(np.arange(probe_paths), 3),
-        controls=probe_rows,
     )
     _blocks(alive, probe_paths)  # raises when a probe lost every path
     cloud = np.stack([rho_T[alive, 0], s_T[alive, 0], s_T[alive, 1]], axis=1)
@@ -639,16 +630,15 @@ def bellman_gap(
     hi[0] = min(hi[0], 1.0 - cfg.boundary_floor * 2.0)
 
     axes = [np.linspace(lo[i], hi[i], lattice_shape[i]) for i in range(3)]
-    inner_class = dict(control_class)
-    inner_class.pop("breakpoints", None)
-    inner_class["m"] = 1
     nodes = [
         (np.array([r1, 1.0 - r1]), np.array([x1, x2]))
         for r1 in axes[0] for x1 in axes[1] for x2 in axes[2]
     ]
+    # One control piece on [t_bar, T] per lattice node.
+    inner_cfg = replace(cfg, t0=t_bar)
     inner = _value_search(
-        cost, cfg, t_bar, nodes, inner_class, inner_paths, master_seed + 7_777_777,
-        budget=150,
+        cost, inner_cfg, nodes, klass._replace(breakpoints=np.array([t_bar, cfg.T])),
+        draw_noise(inner_cfg, master_seed + 7_777_777, inner_paths), budget=150,
     )
     inner_values = np.array([est.value for est in inner]).reshape(lattice_shape)
     inner_se_max = max(0.0, *(est.std_error for est in inner))
@@ -657,15 +647,13 @@ def bellman_gap(
         points = np.stack([rho_T[:, 0], s_T[:, 0], s_T[:, 1]], axis=1)
         return multilinear(axes, inner_values, points)
 
-    def middle(owners, trials):
-        signals = [ControlSignal(breakpoints=[t, t_bar], values=v, ell=ell) for v in trials]
-        return _cost_estimates(
-            cost, seg_cfg, [(rho.rho, x.s)] * len(trials), _signal_rows(signals, n_paths),
-            seg_noise, middle_terminal,
-        )
-
-    [(_, mid, _, _)] = _lockstep([_coordinate_search(1, n, ell, 2, 12, math.inf)], middle)
-    best, best_se = mid.mean, mid.std_error
+    # One control piece on [t, t_bar], searched without a budget.
+    middle_class = klass._replace(breakpoints=np.array([t, t_bar]), sweeps=2, golden_iters=12)
+    [mid] = _value_search(
+        cost, seg_cfg, [(rho.rho, x.s)], middle_class, seg_noise,
+        budget=math.inf, terminal=middle_terminal,
+    )
+    best, best_se = mid.value, mid.std_error
 
     gap = abs(outer.value - best)
     se = math.sqrt(outer.std_error**2 + best_se**2) + inner_se_max

@@ -22,10 +22,12 @@ pre-assigned noise streams and batches advance paths in lockstep with
 per-element arithmetic.
 
 ``run_rows`` is the one stepping loop.  Its rows may start from different
-states, carry different controls and replay the same noise draw, and a
-reducer chooses what a run keeps: ``_FullPath`` (every node, the layout of
-``batch_arrays``), a running-cost sum (``control``), or only the final
-state.
+states and replay the same noise draw.  Their control is ``cfg.control``,
+anything with ``value_at(t)``: a ``ControlSignal`` of (m, n) values is
+shared by every row, one of (rows, m, n) values gives each row its own
+signal.  A reducer chooses what a run keeps: ``_FullPath`` (every node, the
+layout of ``batch_arrays``), a running-cost sum (``control``), or only the
+final state.
 
 Per-step cost: a step of R rows makes two drift evaluations, O(R |E|)
 elementwise work, in a fixed number of numpy calls.  At the few hundred rows
@@ -46,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .energies import EnergySpec, dominant_array, gradient_arrays
-from .graphs import Array, DensityState, DomainError, MomentumState, fold_columns
+from .graphs import Array, DensityState, DomainError, MomentumState, ShapeError, fold_columns
 from .rng import RngStream, batch_increments
 
 
@@ -75,7 +77,7 @@ class SdeConfig:
     t0: float = 0.0
     T: float = 1.0
     dt: float = 1e-3
-    control: object | None = None   # anything with value_at(t) -> vector
+    control: object | None = None   # anything with value_at(t), e.g. a ControlSignal
     boundary_floor: float = 1e-9
     max_rejects: int = 10
 
@@ -264,14 +266,36 @@ def piece_index(breakpoints: Array, t: float) -> int:
 
 
 @dataclass(frozen=True)
-class RowControls:
-    """Piecewise-constant controls on shared breakpoints, one signal per batch row."""
+class ControlSignal:
+    """Piecewise-constant control: values[..., i, :] on [breakpoints[i], breakpoints[i+1])."""
 
-    breakpoints: Array  # (m+1,)
-    values: Array       # (rows, m, n)
+    breakpoints: Array  # (m+1,) increasing, spanning the horizon
+    values: Array       # (m, n) shared by all rows, or (rows, m, n); inside the ell-ball
+    ell: float
+
+    def __post_init__(self):
+        bp = np.array(self.breakpoints, dtype=float)
+        vals = np.array(self.values, dtype=float, ndmin=2)
+        if bp.ndim != 1 or vals.ndim > 3 or bp.size != vals.shape[-2] + 1:
+            raise ShapeError("need one more breakpoint than control pieces")
+        if np.any(np.diff(bp) <= 0.0):
+            raise DomainError("breakpoints must be strictly increasing")
+        if self.ell <= 0.0:
+            raise DomainError("control radius must be positive")
+        norms = np.sqrt((vals**2).sum(axis=-1))
+        if np.any(norms > self.ell * (1.0 + 1e-12)):
+            raise DomainError("control value outside the admissible ball")
+        bp.setflags(write=False)
+        vals.setflags(write=False)
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def constant(cls, V, t0: float, T: float, ell: float) -> "ControlSignal":
+        return cls(breakpoints=np.array([t0, T]), values=V, ell=ell)
 
     def value_at(self, t: float) -> Array:
-        return self.values[:, piece_index(self.breakpoints, t)]
+        return self.values[..., piece_index(self.breakpoints, t), :]
 
 
 class _FullPath:
@@ -314,22 +338,20 @@ def run_rows(
     noise: Noise,
     streams: Array,
     reducer=None,
-    controls: RowControls | None = None,
 ):
     """Advance the rows of (rho, s) over cfg's time grid in lockstep.
 
     Row r starts at (rho[r], s[r]) and is driven by stream ``streams[r]`` of
     the noise draw, so many runs (candidate controls, start states) replay
-    one draw.  The control is ``controls`` (one signal per row) or else
-    ``cfg.control`` (shared).  ``reducer(cfg, times, rows)`` builds an object
-    whose ``record(k, rho, s, V)`` sees the state and control at every grid
-    node and whose ``result()`` returns row-major arrays; without one only
-    the final state is kept.  Returns (rho_T, s_T, alive, escape_time,
-    *reducer results).
+    one draw; their control is ``cfg.control``.  ``reducer(cfg, times, rows)``
+    builds an object whose ``record(k, rho, s, V)`` sees the state and control
+    at every grid node and whose ``result()`` returns row-major arrays;
+    without one only the final state is kept.  Returns (rho_T, s_T, alive,
+    escape_time, *reducer results).
     """
     steps, last_dt, times = _time_grid(cfg)
     rows = rho.shape[0]
-    control_at = cfg.control_value if controls is None else controls.value_at
+    control_at = cfg.control_value
     keep = None if reducer is None else reducer(cfg, times, rows)
     noise_rows = streams - noise.first_stream
     alive = np.ones(rows, dtype=bool)

@@ -483,12 +483,10 @@ def hjb_solve_backward(
     nt = grid.t_axis.size
     values = np.empty(grid.shape)
     values[nt - 1] = spec.terminal_cost(rho_nodes, x_nodes)
+    # G(t, rho, x) is evaluated once: neither built-in family's state cost
+    # depends on t, and custom running costs are refused above.
+    g_field = spec.state_cost(float(grid.t_axis[-1]), rho_nodes, x_nodes)
     for k in range(nt - 2, -1, -1):
-        t_next = float(grid.t_axis[k + 1])
-        g_field = np.broadcast_to(
-            np.asarray(spec.state_cost(t_next, rho_nodes, x_nodes), dtype=float),
-            values[k + 1].shape,
-        ).copy()
         values[k] = hjb_layer(
             values[k + 1], a_r, b1, b2, g_field, sig2[0], sig2[1],
             hr, h1, h2, dt, ell, spec.control_coeff,

@@ -35,9 +35,11 @@ _BRIDGE_SLOTS = 1024
 
 
 def _raw_to_normals(raw: Array) -> Array:
-    # Top 53 bits -> uniform strictly inside (0,1), then inverse CDF.
+    # Top 53 bits -> uniform strictly inside (0,1), then inverse CDF.  The
+    # top value lands on the tie 1 - 2**-54, which rounds to 1.0; the clamp
+    # moves only that value.
     u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+    return ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
 
 
 def _check_stream_id(stream_id: int) -> int:

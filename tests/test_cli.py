@@ -151,6 +151,18 @@ def test_exit_codes(tmp_path):
     assert main(["simulate", "--config", write_config(tmp_path, bad, "bad.json")]) == 2
 
 
+@pytest.mark.parametrize("klass", [{"m": 0}, {"m": -1}, {"golden_iter": 1}, {"ell": 0.0}])
+def test_bad_control_class_is_a_configuration_error(tmp_path, klass, capsys):
+    out = tmp_path / "out"
+    doc = base_config(out)
+    doc["control"]["class"] = klass
+    path = write_config(tmp_path, doc)
+    assert main(["value", "--config", path]) == 2
+    assert main(["bellman", "--config", path]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cfl_failure_leaves_no_artifacts(tmp_path):
     out = tmp_path / "cfl_out"
     doc = base_config(out)

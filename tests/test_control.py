@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphwhs import dynamics
+from graphwhs import control, dynamics
 from graphwhs.checks import benchmark_cost, benchmark_energy
 from graphwhs.control import (
     BOUNDED_TRACKING,
@@ -19,11 +20,12 @@ from graphwhs.control import (
     fhat_on_norms,
     hamiltonian,
     legendre_fhat,
+    _read_class,
     _value_search,
     running_cost,
     value_function_mc,
 )
-from graphwhs.dynamics import EscapeQuotaError, SdeConfig
+from graphwhs.dynamics import EscapeQuotaError, SdeConfig, draw_noise
 from graphwhs.energies import EnergySpec
 from graphwhs.graphs import (
     DensityState,
@@ -73,6 +75,21 @@ def test_signal_piece_selection():
     assert np.array_equal(sig.value_at(5.0), [0.0, 0.2])
     with pytest.raises(ValueError):
         sig.values[0, 0] = 9.0
+
+
+def test_stacked_signal_gives_one_row_per_path():
+    values = np.array([[[0.1, 0.0], [0.0, 0.2]], [[0.3, 0.4], [-0.5, 0.0]]])
+    sig = ControlSignal(breakpoints=[0.0, 1.0, 2.0], values=values, ell=0.5)
+    assert np.array_equal(sig.value_at(0.5), values[:, 0])
+    assert np.array_equal(sig.value_at(1.5), values[:, 1])
+    # Every row of every piece must lie in the ball.
+    values[1, 1] = [0.5, 0.01]
+    with pytest.raises(DomainError):
+        ControlSignal(breakpoints=[0.0, 1.0, 2.0], values=values, ell=0.5)
+    with pytest.raises(ShapeError):
+        ControlSignal(breakpoints=[0.0, 1.0], values=np.zeros((2, 2, 1, 2)), ell=1.0)
+    with pytest.raises(ShapeError):
+        ControlSignal(breakpoints=[0.0, 1.0], values=np.zeros((3, 2, 2)), ell=1.0)
 
 
 def test_cost_spec_guards():
@@ -424,6 +441,52 @@ def test_class_breakpoints_must_span_horizon():
         )
 
 
+def test_control_class_defaults():
+    klass = _read_class({}, 0.0, 0.1)
+    assert klass.breakpoints.tolist() == [0.0, 0.1]
+    assert (klass.ell, klass.sweeps, klass.golden_iters) == (1.0, 2, 14)
+    klass = _read_class({"ell": 2, "m": 2, "breakpoints": [0.0, 0.03, 0.1]}, 0.0, 0.1)
+    assert klass.breakpoints.tolist() == [0.0, 0.03, 0.1]
+    assert klass.ell == 2.0 and isinstance(klass.ell, float)
+
+
+BAD_CLASSES = [
+    {"m": 0},
+    {"m": -1},
+    {"m": 1.5},
+    {"m": True},
+    {"golden_iter": 1},
+    {"ell": 0.0},
+    {"ell": -1.0},
+    {"ell": math.inf},
+    {"ell": "1"},
+    {"sweeps": 0},
+    {"golden_iters": -1},
+    {"breakpoints": [0.0, 0.05, 0.05, 0.1]},
+    {"breakpoints": [0.0, 0.06, 0.05, 0.1]},
+    {"breakpoints": [0.0]},
+    {"breakpoints": [[0.0, 0.1]]},
+]
+
+
+@pytest.mark.parametrize("klass", BAD_CLASSES)
+def test_bad_control_class_is_rejected_before_simulating(klass, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the class was checked")
+
+    monkeypatch.setattr("graphwhs.control.draw_noise", no_simulation)
+    monkeypatch.setattr("graphwhs.control.run_rows", no_simulation)
+    cfg = noiseless_cfg(T=0.1, dt=5e-3)
+    rho = DensityState(rho=np.array([0.35, 0.65]))
+    x = MomentumState(s=np.array([0.4, -0.2]))
+    with pytest.raises(DomainError, match="class"):
+        value_function_mc(plain_cost(), cfg, 0.0, rho, x, klass, 4, 1)
+    # bellman_gap sets its own breakpoints, so only the other keys reach it.
+    if "breakpoints" not in klass:
+        with pytest.raises(DomainError, match="class"):
+            bellman_gap(plain_cost(), cfg, 0.0, 0.05, rho, x, klass, 8, 1)
+
+
 def test_budget_flagging():
     spec = EnergySpec(graph=pair_graph(), sigma=np.array([0.2, 0.2]))
     cfg = SdeConfig(energy=spec, T=0.05, dt=5e-3)
@@ -468,7 +531,11 @@ def test_lockstep_lattice_equals_per_node_searches(energy):
         for x1 in (-0.4, 0.0, 0.4)
         for x2 in (-0.3, 0.1, 0.5)
     ]
-    together = _value_search(cost, cfg, 0.05, nodes, klass, 12, 17, budget=24)
+    run_cfg = replace(cfg, t0=0.05)
+    together = _value_search(
+        cost, run_cfg, nodes, _read_class(klass, 0.05, cfg.T), draw_noise(run_cfg, 17, 12),
+        budget=24,
+    )
     for (r, s), est in zip(nodes, together):
         alone = value_function_mc(
             cost, cfg, 0.05, DensityState(rho=r), MomentumState(s=s), klass, 12, 17, budget=24
@@ -613,5 +680,31 @@ def test_bellman_gap_draws_noise_once_per_estimator(monkeypatch):
 
     monkeypatch.setattr(dynamics, "batch_increments", counted)
     bellman_gap(*small_gap_inputs(), inner_paths=50, lattice_shape=(3, 3, 3))
-    # Outer value, middle search (with its probes) and the inner lattice.
-    assert len(calls) <= 4
+    # Outer value, middle search (with its probes) and the inner lattice,
+    # each drawn once.
+    assert len(calls) == 3
+    assert len(set(calls)) == 3
+
+
+def test_bellman_gap_searches_one_ball_on_every_side(monkeypatch):
+    # The radius is the class's "ell" (default 1.0) for the outer value, the
+    # probes, the middle search and the inner lattice, whatever cfg.control
+    # carries.
+    norms = []
+    engine = control.run_rows
+
+    def spy(cfg, *args, **kwargs):
+        norms.append(np.sqrt((cfg.control.values**2).sum(axis=-1)).max())
+        return engine(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(control, "run_rows", spy)
+    cost, cfg, t, t_bar, rho, x, _, n_paths, seed = small_gap_inputs()
+    cfg = replace(cfg, control=ControlSignal.constant(np.zeros(2), 0.0, cfg.T, 2.0))
+    _, _, detail = bellman_gap(
+        cost, cfg, t, t_bar, rho, x, {"m": 1, "golden_iters": 2}, 20, seed,
+        inner_paths=10, lattice_shape=(2, 2, 2), return_detail=True,
+    )
+    assert detail["outer"]["control_class"].endswith("ell=1.0")
+    assert max(norms) <= 1.0 + 1e-12
+    # The probe corners sit on the ball's edge.
+    assert max(norms) >= 1.0 - 1e-12

@@ -1,13 +1,15 @@
 import csv
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from graphwhs import dynamics
+from graphwhs import control, dynamics
 from graphwhs.dynamics import (
     BoundaryEscapeError,
+    ControlSignal,
     EscapeQuotaError,
-    RowControls,
     SdeConfig,
     Trajectory,
     batch_arrays,
@@ -84,10 +86,10 @@ def test_lockstep_rows_rescue_with_their_own_control_and_stream():
     paths = 8
     rho = np.repeat([r for r, _ in starts], paths, axis=0)
     s = np.repeat([x for _, x in starts], paths, axis=0)
-    rows = RowControls(np.array([0.0, 0.1]), np.repeat(controls[:, None], paths, axis=0))
+    rows = ControlSignal([0.0, 0.1], np.repeat(controls[:, None], paths, axis=0), ell=1.0)
     noise = draw_noise(cfg, 4, paths)
     rho_T, s_T, alive, escape_time = run_rows(
-        cfg, rho, s, noise, np.tile(np.arange(paths), 2), controls=rows
+        replace(cfg, control=rows), rho, s, noise, np.tile(np.arange(paths), 2)
     )
     for b, (r, x) in enumerate(starts):
         own = SdeConfig(energy=cfg.energy, T=0.1, dt=1e-2, control=ConstControl(controls[b]))
@@ -338,12 +340,12 @@ def reference_midpoint_step(energy, floor, rho, s, V, dt, dw):
     return new_rho, new_s, bad
 
 
-def reference_run_rows(cfg, rho, s, noise, streams, reducer=None, controls=None):
+def reference_run_rows(cfg, rho, s, noise, streams, reducer=None):
     """``run_rows`` as it was: a 2-D fancy-index noise gather and both states
     re-masked with ``np.where`` on every step."""
     steps, last_dt, times = dynamics._time_grid(cfg)
     rows = rho.shape[0]
-    control_at = cfg.control_value if controls is None else controls.value_at
+    control_at = cfg.control_value
     keep = None if reducer is None else reducer(cfg, times, rows)
     noise_rows = streams - noise.first_stream
     alive = np.ones(rows, dtype=bool)
@@ -447,10 +449,51 @@ def test_run_rows_matches_reference_with_mid_run_escapes():
     for a, b in zip(got, ref):
         assert a.tobytes() == b.tobytes()
 
-    controls = RowControls(np.array([0.0, 0.05, 0.1]),
-                           np.random.default_rng(3).uniform(-0.5, 0.5, size=(2 * paths, 2, 2)))
-    got = run_rows(cfg, rho, s, noise, streams, controls=controls)
-    ref = reference_run_rows(cfg, rho, s, noise, streams, controls=controls)
+    per_row = replace(cfg, control=ControlSignal(
+        [0.0, 0.05, 0.1], np.random.default_rng(3).uniform(-0.5, 0.5, size=(2 * paths, 2, 2)),
+        ell=1.0,
+    ))
+    got = run_rows(per_row, rho, s, noise, streams)
+    ref = reference_run_rows(per_row, rho, s, noise, streams)
     assert 0 < ref[2].sum() < ref[2].size
     for a, b in zip(got, ref):
         assert a.tobytes() == b.tobytes()
+
+
+def test_shared_signal_equals_its_per_row_repetition(monkeypatch):
+    # An (m, n) signal shared by every row and the same signal repeated to
+    # (rows, m, n) drive bitwise the same runs: final states, escapes and the
+    # running-cost sum, through step halvings and mid-run escapes.
+    rescues = []
+    advance = dynamics._advance_one
+
+    def counted(*args):
+        out = advance(*args)
+        if args[-2] == 0:  # a whole step that was halved and kept its path alive
+            rescues.append(args[-1])
+        return out
+
+    monkeypatch.setattr(dynamics, "_advance_one", counted)
+    cfg = SdeConfig(energy=pair_spec(sigma=1.0), T=0.1, dt=1e-2)
+    paths = 12
+    rho = np.repeat([[0.03, 0.97], [0.05, 0.95]], paths, axis=0)
+    s = np.repeat([[-1.0, 1.0], [-0.8, 0.9]], paths, axis=0)
+    noise = draw_noise(cfg, 4, paths)
+    streams = np.tile(np.arange(paths), 2)
+    shared = ControlSignal([0.0, 0.05, 0.1], [[0.6, -0.2], [-0.3, 0.5]], ell=1.0)
+    repeated = ControlSignal(
+        shared.breakpoints, np.repeat(shared.values[None], rho.shape[0], axis=0), ell=1.0
+    )
+    cost = control.CostSpec(
+        family=control.BOUNDED_TRACKING, target_rho=[0.5, 0.5], target_x=[0.0, 0.0]
+    )
+    for reducer in (None, partial(control._RunningCost, cost)):
+        rescues.clear()
+        got = run_rows(replace(cfg, control=shared), rho, s, noise, streams, reducer)
+        assert rescues
+        ref = run_rows(replace(cfg, control=repeated), rho, s, noise, streams, reducer)
+        alive, escape_time = ref[2], ref[3]
+        assert 0 < alive.sum() < alive.size
+        assert np.nanmin(escape_time) < cfg.T - 2 * cfg.dt
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()

@@ -144,3 +144,17 @@ def test_rescue_cost_does_not_grow_with_step_index(monkeypatch):
         xi = RngStream(5, 0).bridge_normal(k, 0, 8)
         assert xi.shape == (8,) and np.isfinite(xi).all()
         assert sum(produced) <= 8 + 3
+
+
+def test_top_words_map_to_finite_normals():
+    # The top 53 bits 2**53 - 1 put u on the tie 1 - 2**-54, which rounds to
+    # 1.0; the clamp keeps ndtri finite there and moves no other word.
+    from scipy.special import ndtri
+
+    raw = np.array([2**64 - 1, 2**64 - 2048, 0, 2**64 - 2049, 2**63, 12345 << 11],
+                   dtype=np.uint64)
+    z = rng._raw_to_normals(raw)
+    assert np.isfinite(z).all()
+    assert z[0] == z[1] == ndtri(np.nextafter(1.0, 0.0)) > 0.0
+    plain = ndtri((raw[2:] >> np.uint64(11)) * 2.0**-53 + 2.0**-54)
+    assert np.array_equal(z[2:], plain)
