@@ -91,6 +91,12 @@ class SdeConfig:
             raise DomainError("boundary_floor must lie in (0, 1/n)")
         if not 0 <= self.max_rejects <= 10:
             raise DomainError("max_rejects must lie in [0, 10]")
+        values = getattr(self.control, "values", None)
+        if values is not None and np.shape(values)[-1] != n:
+            raise ShapeError(f"control values must have {n} entries, one per vertex")
+        bp = getattr(self.control, "breakpoints", None)
+        if bp is not None and not bp[0] <= self.t0 < self.T <= bp[-1]:
+            raise DomainError("control breakpoints must cover [t0, T]")
 
     def control_value(self, t: float) -> Array | None:
         if self.control is None:

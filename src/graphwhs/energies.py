@@ -117,6 +117,11 @@ class EnergySpec:
         wm.setflags(write=False)
         return wm
 
+    @cached_property
+    def zero_interaction(self) -> bool:
+        """True when every on-edge interaction entry is zero."""
+        return not self.edge_interaction.any()
+
 
 class EnergyGradients(NamedTuple):
     d_rho: Array   # Euclidean partial dH0/drho (unprojected)
@@ -246,7 +251,9 @@ def gradient_arrays(spec: EnergySpec, rho: Array, x: Array):
     d_rho = d_rho + spec.fisher_coeff * e.vertex_sum(_barrier_terms(e, ri, rj))
 
     if spec.variant == POLYNOMIAL_INTERACTION:
-        d_rho = d_rho + rho @ spec.edge_interaction.T
+        # A zero matrix makes the product +0.0 everywhere; adding 0.0 in its
+        # place skips the matmul and gives the same bits, signs of zero too.
+        d_rho = d_rho + (0.0 if spec.zero_interaction else rho @ spec.edge_interaction.T)
     else:
         d_rho = d_rho - np.log(rho)
     return d_rho, d_x

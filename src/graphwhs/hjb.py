@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from ._kernels import fhat_norm, hjb_layer, moreau_lines, multilinear_at
 from .control import QUADRATIC_CONTROL, CostSpec, _fhat_ascent, hamiltonian
@@ -64,6 +63,8 @@ PROFILE_DERIV_BOUND = 16.0
 
 
 def _unit_profile(s: Array):
+    from scipy.special import expit  # on first use: importing graphwhs skips scipy
+
     s = np.asarray(s, dtype=float)
     inside = (s > 0.0) & (s < 1.0)
     sc = np.where(inside, s, 0.5)  # dummy midpoint keeps the arithmetic finite

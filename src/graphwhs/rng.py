@@ -19,12 +19,18 @@ boundary rescue at step k costs the same as one at step 0.
 
 Bridge draws (used when a step is halved at the simplex boundary) come from
 a separate key so they never collide with base draws.
+
+The inverse CDF is a numpy port of Cephes ``ndtri``, the algorithm behind
+``scipy.special.ndtri``, with the same tables and the same order of
+operations; the two logs of the tails come from libm (``math.log``), so
+every normal equals scipy's bitwise without importing ``scipy.special``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import ndtri
 
 Array = np.ndarray
 
@@ -34,12 +40,98 @@ Array = np.ndarray
 _BRIDGE_SLOTS = 1024
 
 
+# Cephes ndtri: a rational function of y - 1/2 on the centre
+# exp(-2) < y < 1 - exp(-2), and of z = 1/x with x = sqrt(-2 log y) on the
+# tails, one table pair for 2 <= x < 8 and one for x >= 8 (y < exp(-32)).
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: Array, coef: tuple) -> Array:
+    # Horner's rule as Cephes writes it: a multiply, then an add, per term.
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: Array, coef: tuple) -> Array:
+    # As _polevl with an implicit leading coefficient 1.
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(a: Array) -> Array:
+    # numpy's SIMD log and libm's differ in the last bit on some inputs
+    # (tens of draws per million); scipy's ndtri takes libm's.
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+
+
+def _ndtri(y0: Array) -> Array:
+    """Inverse standard-normal CDF of a flat array strictly inside (0, 1).
+
+    The callers' clamp keeps 0, 1 and NaN out, so the infinities and the
+    domain error of Cephes are not needed.
+    """
+    out = np.empty_like(y0)
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    centre = y > _EXP_M2
+
+    yc = y[centre] - 0.5
+    y2 = yc * yc
+    out[centre] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+
+    tail = ~centre
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = np.where(
+        x < 8.0, z * _polevl(z, _P1) / _p1evl(z, _Q1), z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    )
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def _raw_to_normals(raw: Array) -> Array:
     # Top 53 bits -> uniform strictly inside (0,1), then inverse CDF.  The
     # top value lands on the tie 1 - 2**-54, which rounds to 1.0; the clamp
     # moves only that value.
     u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-    return ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
+    u = np.minimum(u, np.nextafter(1.0, 0.0))
+    return _ndtri(u.ravel()).reshape(u.shape)
 
 
 def _check_stream_id(stream_id: int) -> int:

@@ -295,11 +295,11 @@ def test_help_and_version_exit_clean():
 
 
 def test_import_skips_scipy_interpolate_and_integrate():
-    """Interpolation is graphwhs's own; quadrature is imported on first use."""
+    """No scipy module at all: interpolation and the inverse normal CDF are
+    graphwhs's own; quadrature and expit are imported on first use."""
     code = (
         "import sys, graphwhs, graphwhs.cli, graphwhs.checks; "
-        "print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.interpolate', 'scipy.integrate'))))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(graphwhs.__file__).resolve().parents[1])
     out = subprocess.run(

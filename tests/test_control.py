@@ -387,6 +387,21 @@ def test_cost_functional_noiseless_constant():
     assert with_ctrl.value == pytest.approx(0.7 + 0.5 * 0.36 * cfg.T, abs=1e-13)
 
 
+def test_cost_functional_rejects_a_control_off_the_graph_or_the_horizon():
+    # Before the check, a (1,) signal was broadcast over both vertices in the
+    # drift but priced as ||V||^2 = 0.25, and a signal on [0, 0.02] was held
+    # at its last piece up to T.
+    cfg = noiseless_cfg(T=0.1, dt=0.01)
+    rho = DensityState(rho=np.array([0.35, 0.65]))
+    x = MomentumState(s=np.array([0.4, -0.2]))
+    with pytest.raises(ShapeError):
+        cost_functional(plain_cost(), cfg, 0.0, rho, x,
+                        ControlSignal.constant([0.5], 0.0, 0.1, 1.0), 3, 1)
+    with pytest.raises(DomainError):
+        cost_functional(plain_cost(), cfg, 0.0, rho, x,
+                        ControlSignal.constant([0.5, 0.0], 0.0, 0.02, 1.0), 3, 1)
+
+
 def test_value_function_mc_deterministic_and_bounded_by_zero_control():
     spec = EnergySpec(graph=pair_graph(), sigma=np.array([0.2, 0.2]))
     cfg = SdeConfig(energy=spec, T=0.1, dt=5e-3)

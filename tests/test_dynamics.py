@@ -30,6 +30,7 @@ from graphwhs.graphs import (
     Graph,
     MomentumState,
     ProbabilityWeight,
+    ShapeError,
 )
 from graphwhs.rng import RngStream
 
@@ -244,6 +245,31 @@ def test_config_validation():
         SdeConfig(energy=spec, boundary_floor=0.6)
     with pytest.raises(DomainError):
         SdeConfig(energy=spec, max_rejects=11)
+
+
+def test_config_rejects_a_control_off_the_graph_or_the_horizon():
+    spec = pair_spec()
+    # One entry on a two-vertex graph would be broadcast over both vertices.
+    with pytest.raises(ShapeError):
+        SdeConfig(energy=spec, T=0.1, control=ControlSignal.constant([0.5], 0.0, 0.1, 1.0))
+    with pytest.raises(ShapeError):
+        SdeConfig(energy=spec, T=0.1,
+                  control=ControlSignal([0.0, 0.1], np.zeros((4, 1, 3)), 1.0))
+    # A signal on [0, 0.02] would be held at its last piece up to T = 0.1.
+    short = ControlSignal.constant([0.5, -0.5], 0.0, 0.02, 1.0)
+    with pytest.raises(DomainError):
+        SdeConfig(energy=spec, T=0.1, control=short)
+    late = ControlSignal.constant([0.5, -0.5], 0.05, 0.1, 1.0)
+    with pytest.raises(DomainError):
+        SdeConfig(energy=spec, T=0.1, control=late)
+    cfg = SdeConfig(energy=spec, T=0.1)
+    with pytest.raises(ShapeError):
+        simulate(replace(cfg, control=ControlSignal.constant([0.5], 0.0, 0.1, 1.0)), *start(), 1)
+    # Covering signals pass: wider than the horizon, stacked per row, or any
+    # object with only value_at.
+    wide = ControlSignal([0.0, 0.05, 0.2], np.zeros((3, 2, 2)), 1.0)
+    assert replace(cfg, t0=0.05, control=wide).control is wide
+    assert SdeConfig(energy=spec, T=0.1, control=ConstControl([0.1, 0.0])).control is not None
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,26 @@ def test_edge_core_matches_dense_reference(n, variant, kind):
     assert_matches(dominant_array(spec, rho, x), ref["h0"], n <= 2, "h0")
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_zero_interaction_skips_its_matmul_bitwise(n):
+    """An interaction matrix that vanishes on the edge set adds +0.0 in place
+    of the product; d_rho keeps every bit of the dense formula, on the
+    uniform, motionless rows (whose entries are zero) too."""
+    rng = np.random.default_rng(n)
+    G = mixed_graph(n)
+    off_edge = np.where(G.edge_mask, 0.0, 1.0)   # ignored entries only
+    spec = EnergySpec(graph=G, interaction=off_edge, fisher_coeff=0.3)
+    assert spec.zero_interaction
+    assert not EnergySpec(graph=G, interaction=np.where(G.edge_mask, 0.5, 0.0)).zero_interaction
+    rho = rng.dirichlet(np.ones(n), size=20)
+    rho[:3] = 1.0 / n
+    x = rng.normal(size=(20, n))
+    x[:2] = 0.0
+    d_rho, _ = gradient_arrays(spec, rho, x)
+    assert (d_rho[:2] == 0.0).all()
+    assert_matches(d_rho, dense_reference(spec, rho, x)["d_rho"], True, "d_rho")
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.25])
 def test_nonpositive_density_raises_domain_error(bad):
     spec = EnergySpec(graph=path3())

@@ -158,3 +158,51 @@ def test_top_words_map_to_finite_normals():
     assert z[0] == z[1] == ndtri(np.nextafter(1.0, 0.0)) > 0.0
     plain = ndtri((raw[2:] >> np.uint64(11)) * 2.0**-53 + 2.0**-54)
     assert np.array_equal(z[2:], plain)
+
+
+# ---------------------------------------------------------------------------
+# the numpy inverse CDF against scipy.special.ndtri, bit for bit
+# ---------------------------------------------------------------------------
+
+def _scipy_normals(raw):
+    from scipy.special import ndtri
+
+    u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    return ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
+
+
+def _assert_same_bits(raw):
+    got = rng._raw_to_normals(raw)
+    ref = _scipy_normals(raw)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_ndtri_port_matches_scipy_on_random_words():
+    _assert_same_bits(rng._philox(2024, 17).random_raw(1_200_000))
+
+
+def test_ndtri_port_matches_scipy_on_branch_edges():
+    # Top-53-bit values k: both ends of the range, and +-5000 around the
+    # branch cuts exp(-2) and 1 - exp(-2), the centre 1/2 and the cut
+    # exp(-32) between the two tail tables, on either side.
+    top = 2**53
+    ks = [np.arange(100_000), np.arange(top - 100_000, top)]
+    for p in (np.exp(-2.0), 1.0 - np.exp(-2.0), 0.5, np.exp(-32.0), 1.0 - np.exp(-32.0)):
+        k = int(p * top)
+        ks.append(np.arange(max(k - 5000, 0), min(k + 5000, top)))
+    k = np.concatenate(ks).astype(np.uint64)
+    raw = (k << np.uint64(11)) | np.uint64(0x5A5)  # the low 11 bits are discarded
+    _assert_same_bits(raw)
+    # y < exp(-32), i.e. x = sqrt(-2 log y) >= 8, takes the far tail table;
+    # only the ~114 words at each end of the range get there.
+    u = k * 2.0**-53 + 2.0**-54
+    assert (u < np.exp(-32.0)).sum() >= 100
+    assert (1.0 - u < np.exp(-32.0)).sum() >= 100
+
+
+def test_ndtri_port_matches_scipy_on_a_paths_by_words_block():
+    # The (paths, words) layout that batch_increments passes.
+    raw = np.stack([rng._words(5, p, 0, 3001) for p in range(7)])
+    _assert_same_bits(raw)
+    assert np.array_equal(rng._raw_to_normals(raw)[3], RngStream(5, 3).base_normals(3001))
