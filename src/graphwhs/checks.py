@@ -16,14 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import (
-    BOUNDED_TRACKING,
-    CostSpec,
-    bellman_gap,
-    fhat_on_norms,
-    legendre_fhat,
-    value_function_mc,
-)
+from ._kernels import fhat_norm
+from .control import BOUNDED_TRACKING, CostSpec, bellman_gap, legendre_fhat, value_function_mc
 from .dynamics import ControlSignal, SdeConfig, batch_arrays, regularity_scan, simulate
 from .energies import (
     LOGARITHMIC_ENTROPY,
@@ -389,8 +383,8 @@ def criterion_7() -> CheckResult:
         worst = max(worst, abs(closed - brute))
     qa = rng.normal(0.0, 1.0, (1000, 2))
     qb = rng.normal(0.0, 1.0, (1000, 2))
-    fa = fhat_on_norms(cost, np.sqrt((qa**2).sum(axis=1)), ell)
-    fb = fhat_on_norms(cost, np.sqrt((qb**2).sum(axis=1)), ell)
+    fa = fhat_norm(np.sqrt((qa**2).sum(axis=1)), cost.control_coeff, ell)
+    fb = fhat_norm(np.sqrt((qb**2).sum(axis=1)), cost.control_coeff, ell)
     lip = np.abs(fa - fb) - ell * np.sqrt(((qa - qb) ** 2).sum(axis=1))
     lip_worst = float(lip.max())
     ok = worst <= 2.0 * grid_h and lip_worst <= 1e-9

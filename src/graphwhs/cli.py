@@ -47,6 +47,7 @@ from .graphs import (
 )
 from .hjb import (
     CflError,
+    GridValueFunction,
     NonFiniteError,
     SimplexGrid,
     hjb_solve_backward,
@@ -113,21 +114,11 @@ class ExperimentConfig:
 
         esec = dict(raw.get("energy", {}))
         sigma = esec.pop("sigma", None)
-        if sigma is not None:
-            sigma = np.full(n, float(sigma)) if np.ndim(sigma) == 0 else np.asarray(
-                sigma, dtype=float
-            )
-            if sigma.shape != (n,):
-                raise ShapeError("sigma must give one diffusion per vertex")
-        interaction = esec.pop("interaction", None)
-        if interaction is not None:
-            interaction = np.asarray(interaction, dtype=float)
-            if interaction.shape != (n, n):
-                raise ShapeError("interaction matrix must be n by n")
+        if sigma is not None and np.ndim(sigma) == 0:
+            sigma = np.full(n, float(sigma))
+        # EnergySpec checks the shapes of sigma and the interaction matrix.
         weight = ProbabilityWeight(esec.pop("weight_kind", "average"))
-        energy = EnergySpec(
-            graph=graph, weight=weight, interaction=interaction, sigma=sigma, **esec
-        )
+        energy = EnergySpec(graph=graph, weight=weight, sigma=sigma, **esec)
 
         csec = dict(raw.get("cost", {}))
         for key in ("target_rho", "target_x"):
@@ -219,6 +210,15 @@ class ExperimentConfig:
         if self.solver["t_bar"] is not None:
             return float(self.solver["t_bar"])
         return 0.5 * (self.solver["t0"] + self.solver["T"])
+
+    def solve_grid(self) -> GridValueFunction:
+        """Build the configured grid and solve backward on it."""
+        s = self.solver
+        grid = SimplexGrid.build(
+            self.energy, self.ell, s["T"], shape=tuple(s["grid_shape"]),
+            X=float(s["X"]), rho_margin=float(s["rho_margin"]), t0=s["t0"],
+        )
+        return hjb_solve_backward(grid, self.cost, self.energy, self.ell)
 
     def default_class(self) -> dict:
         """The configured class, {"m": 1} if none, with the config's ell unless it sets one."""
@@ -439,14 +439,9 @@ def bellman(config_path, seed, out_dir):
 def hjb(config_path, seed, out_dir):
     """Backward grid solve of the control Hamilton-Jacobi equation."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
-    grid = SimplexGrid.build(
-        cfg.energy, cfg.ell, cfg.solver["T"], shape=tuple(cfg.solver["grid_shape"]),
-        X=float(cfg.solver["X"]), rho_margin=float(cfg.solver["rho_margin"]),
-        t0=cfg.solver["t0"],
-    )
-    gvf = hjb_solve_backward(grid, cfg.cost, cfg.energy, cfg.ell)
+    gvf = cfg.solve_grid()
     summary = {
-        "cfl": grid.cfl,
+        "cfl": gvf.grid.cfl,
         "shape": list(gvf.values.shape),
         "min": float(gvf.values.min()),
         "max": float(gvf.values.max()),
@@ -465,12 +460,7 @@ def hjb(config_path, seed, out_dir):
 def convolve(config_path, seed, out_dir):
     """Sup/inf envelope diagnostics of the grid value function."""
     cfg = ExperimentConfig.load(config_path, seed, out_dir)
-    grid = SimplexGrid.build(
-        cfg.energy, cfg.ell, cfg.solver["T"], shape=tuple(cfg.solver["grid_shape"]),
-        X=float(cfg.solver["X"]), rho_margin=float(cfg.solver["rho_margin"]),
-        t0=cfg.solver["t0"],
-    )
-    gvf = hjb_solve_backward(grid, cfg.cost, cfg.energy, cfg.ell)
+    gvf = cfg.solve_grid()
     weights = metric_weights_for_value(cfg.graph.n)
     rows = []
     for theta in cfg.solver["theta"]:

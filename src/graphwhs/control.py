@@ -12,8 +12,8 @@ so the inner maximization
             = ||q||^2 / (4c)        if ||q|| <= 2 c ell
             = ell ||q|| - c ell^2   otherwise,     minus G,
 
-is closed form; a projected-ascent fallback covers custom running costs.
-The families:
+is closed form (``_kernels.fhat_norm``), the one transform that the grid
+solver, the Monte-Carlo layer and the checks share.  The families:
 
 * quadratic_control: G is a quadratic tracking penalty (possibly zero),
   h a quadratic terminal penalty.
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class CostSpec:
     bound: float = 1.0            # bounded family's saturation height
     terminal_weight: float = 0.0
     terminal_offset: float = 0.0  # constant added to h (constant-solution diagnostics)
-    custom_running: Callable | None = None  # F(t, rho, x, V); disables closed forms
 
     def __post_init__(self):
         family = str(self.family).lower()
@@ -137,8 +136,6 @@ def running_cost(spec: CostSpec, t, rho, x, V) -> float | Array:
     rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
     x = np.asarray(getattr(x, "s", x), dtype=float)
     V = np.asarray(V, dtype=float)
-    if spec.custom_running is not None:
-        return spec.custom_running(t, rho, x, V)
     out = spec.control_coeff * _row_sum(V**2) + spec.state_cost(t, rho, x)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -150,54 +147,8 @@ def legendre_fhat(spec: CostSpec, t, rho, x, q, ell: float) -> float:
     rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
     x = np.asarray(getattr(x, "s", x), dtype=float)
     q = np.asarray(q, dtype=float)
-    if spec.custom_running is not None:
-        return _fhat_ascent(spec, t, rho, x, q, ell)
     qn = float(np.sqrt((q**2).sum()))
-    return float(fhat_on_norms(spec, qn, ell)) - float(spec.state_cost(t, rho, x))
-
-
-def fhat_on_norms(spec: CostSpec, qn: Array, ell: float) -> Array:
-    """Closed-form Fhat as a function of ||q|| only (state part excluded)."""
-    return fhat_norm(qn, spec.control_coeff, ell)
-
-
-def _fhat_ascent(spec: CostSpec, t, rho, x, q, ell, starts: int = 8, iters: int = 200) -> float:
-    # Projected gradient ascent with numerical gradients; multi-start covers
-    # nonconcave custom integrands.
-    n = q.size
-    rng = np.random.default_rng(12345)
-    inits = [np.zeros(n), q / max(np.sqrt((q**2).sum()) / ell, 1.0)]
-    while len(inits) < starts:
-        v = rng.normal(size=n)
-        inits.append(v * (ell * rng.random() / np.sqrt((v**2).sum())))
-
-    def objective(v):
-        return float(q @ v) - float(spec.custom_running(t, rho, x, v))
-
-    best = -np.inf
-    h = 1e-6
-    for v in inits:
-        v = v.copy()
-        step_size = 0.5 * ell
-        for _ in range(iters):
-            grad = np.empty(n)
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = h
-                grad[i] = (objective(v + e) - objective(v - e)) / (2.0 * h)
-            trial = v + step_size * grad
-            nrm = np.sqrt((trial**2).sum())
-            if nrm > ell:
-                trial = trial * (ell / nrm)
-            if objective(trial) > objective(v):
-                v = trial
-                step_size = min(step_size * 1.6, ell)
-            else:
-                step_size *= 0.5
-                if step_size < 1e-12:
-                    break
-        best = max(best, objective(v))
-    return best
+    return float(fhat_norm(qn, spec.control_coeff, ell)) - float(spec.state_cost(t, rho, x))
 
 
 def _drift_pairing(energy: EnergySpec, rho: Array, x: Array, p, q, Q) -> float:

@@ -225,7 +225,11 @@ def dominant_array(spec: EnergySpec, rho: Array, x: Array) -> Array:
     _check_positive(rho)
     total = _kinetic(spec, rho, x) + spec.fisher_coeff * _fisher(spec, rho)
     if spec.variant == POLYNOMIAL_INTERACTION:
-        total = total + 0.5 * np.einsum("...i,ij,...j->...", rho, spec.edge_interaction, rho)
+        # As in gradient_arrays, 0.0 in place of a zero matrix's term keeps the bits.
+        pair = 0.0 if spec.zero_interaction else 0.5 * np.einsum(
+            "...i,ij,...j->...", rho, spec.edge_interaction, rho
+        )
+        total = total + pair
     else:
         total = total - (rho * np.log(rho) - rho).sum(axis=-1)
     return total

@@ -52,6 +52,8 @@ AVERAGE = "average"
 LOGARITHMIC = "logarithmic"
 HARMONIC = "harmonic"
 WEIGHT_KINDS = (AVERAGE, LOGARITHMIC, HARMONIC)
+# Relative gap below which the logarithmic mean takes its midpoint branch.
+LOG_MEAN_TOLERANCE = 1e-8
 
 
 class GraphError(ValueError):
@@ -301,13 +303,12 @@ class EdgeField:
 class ProbabilityWeight:
     """Symmetric mean g(t, r) used as edge mobility.
 
-    ``tolerance`` is the relative gap below which the logarithmic kind
-    switches to its equal-argument (midpoint) branch.  Its partial switches
-    to a power series at a fixed gap instead (``_mean_dt``).
+    The logarithmic kind switches to its equal-argument (midpoint) branch
+    below the relative gap ``LOG_MEAN_TOLERANCE``.  Its partial switches to a
+    power series at a fixed gap instead (``_mean_dt``).
     """
 
     kind: str = AVERAGE
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         kind = str(self.kind).lower()
@@ -347,7 +348,7 @@ def _mean(w: ProbabilityWeight, t: Array, r: Array) -> Array:
     # branch (the gap itself is exact by Sterbenz).
     hi = np.maximum(t, r)
     lo = np.minimum(t, r)
-    near = hi - lo <= w.tolerance * hi
+    near = hi - lo <= LOG_MEAN_TOLERANCE * hi
     pos = lo > 0.0
     diff = np.where(pos & ~near, hi - lo, 0.0)
     safe_lo = np.where(pos & ~near, lo, 1.0)

@@ -27,15 +27,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._kernels import fhat_norm, hjb_layer, moreau_lines, multilinear_at
-from .control import QUADRATIC_CONTROL, CostSpec, _fhat_ascent, hamiltonian
+from .control import QUADRATIC_CONTROL, CostSpec, _drift_pairing, hamiltonian
 from .energies import EnergySpec, dominant_array, energy_gradients, gradient_arrays
-from .graphs import Array, DensityState, DomainError, MomentumState, frechet_project
+from .graphs import (
+    LOG_MEAN_TOLERANCE,
+    Array,
+    DensityState,
+    DomainError,
+    MomentumState,
+    frechet_project,
+)
 
 
 class CflError(ArithmeticError):
@@ -145,7 +152,7 @@ def truncation_identity_check(
 
 
 def _cutoff_state(energy: EnergySpec, tr: TruncationFn, rho, x):
-    """phi(H0), its x-gradient and x-Hessian, plus the raw energy gradients."""
+    """phi(H0), its x-gradient and x-Hessian."""
     rho_arr = np.asarray(getattr(rho, "rho", rho), dtype=float)
     x_arr = np.asarray(getattr(x, "s", x), dtype=float)
     h0 = float(dominant_array(energy, rho_arr, x_arr))
@@ -157,7 +164,7 @@ def _cutoff_state(energy: EnergySpec, tr: TruncationFn, rho, x):
     )
     dphi_x = phi1 * grads.d_x
     hess_phi = phi2 * np.outer(grads.d_x, grads.d_x) + phi1 * grads.hess_x
-    return h0, phi0, dphi_x, hess_phi, grads
+    return h0, phi0, dphi_x, hess_phi
 
 
 def fhat_R(
@@ -172,16 +179,10 @@ def fhat_R(
     ell: float,
 ) -> float:
     """sup over the control ball of <q - U dphi/dx, V> - phi(H0) F(t,rho,x,V)."""
-    _, phi0, dphi_x, _, _ = _cutoff_state(energy, tr, rho, x)
+    _, phi0, dphi_x, _ = _cutoff_state(energy, tr, rho, x)
     w = np.asarray(q, dtype=float) - U_value * dphi_x
     rho_arr = np.asarray(getattr(rho, "rho", rho), dtype=float)
     x_arr = np.asarray(getattr(x, "s", x), dtype=float)
-    if spec.custom_running is not None:
-        scaled = replace(
-            spec,
-            custom_running=lambda tt, rr, xx, V: phi0 * spec.custom_running(tt, rr, xx, V),
-        )
-        return _fhat_ascent(scaled, t, rho_arr, x_arr, w, ell)
     wn = float(np.sqrt((w**2).sum()))
     return float(fhat_norm(wn, phi0 * spec.control_coeff, ell)) - phi0 * float(
         spec.state_cost(t, rho_arr, x_arr)
@@ -202,15 +203,15 @@ def truncated_hamiltonian(
     ell: float,
 ) -> float:
     """Cutoff-rescaled Hamiltonian; equals `hamiltonian` on the inner plateau."""
-    h0, phi0, dphi_x, hess_phi, grads = _cutoff_state(energy, tr, rho, x)
+    h0, phi0, dphi_x, hess_phi = _cutoff_state(energy, tr, rho, x)
     if h0 >= 2.0 * tr.R:
         raise DomainError("state lies outside the cutoff domain (H0 >= 2R)")
-    p = np.asarray(p, dtype=float)
+    rho_arr = np.asarray(getattr(rho, "rho", rho), dtype=float)
+    x_arr = np.asarray(getattr(x, "s", x), dtype=float)
     q = np.asarray(q, dtype=float)
     Q = np.asarray(Q, dtype=float)
     sig2 = energy.sigma**2
-    value = float(p @ grads.d_x) - float(q @ grads.d_rho)
-    value += 0.5 * float(sig2 @ np.diag(Q))
+    value = _drift_pairing(energy, rho_arr, x_arr, p, q, Q)
     value -= float(sig2 @ (dphi_x * q)) / phi0
     value -= U_value * (
         0.5 * float(sig2 @ np.diag(hess_phi)) - float(sig2 @ dphi_x**2) / phi0
@@ -289,7 +290,7 @@ class SimplexGrid:
             x2_axis=np.linspace(-X, X, n2),
             cfl={},
         )
-        record = _cfl_record(grid, energy, ell)
+        record = _cfl_record(grid, energy, ell, *_drift_fields(grid, energy))
         object.__setattr__(grid, "cfl", record)
         return grid
 
@@ -303,9 +304,8 @@ def _drift_fields(grid: SimplexGrid, energy: EnergySpec):
     return a_r, b1, b2
 
 
-def _cfl_record(grid: SimplexGrid, energy: EnergySpec, ell: float) -> dict:
+def _cfl_record(grid: SimplexGrid, energy: EnergySpec, ell: float, a_r, b1, b2) -> dict:
     dt, hr, h1, h2 = grid.spacings
-    a_r, b1, b2 = _drift_fields(grid, energy)
     sig2 = energy.sigma**2
     denom = (
         np.abs(a_r).max() / hr
@@ -343,7 +343,9 @@ def energy_hash(energy: EnergySpec) -> str:
     return _digest({
         "omega": energy.graph.omega.tolist(),
         "variant": energy.variant,
-        "weight": [energy.weight.kind, float(energy.weight.tolerance)],
+        # The tolerance is a constant; it stays in the payload so that saved
+        # grids keep their fingerprints.
+        "weight": [energy.weight.kind, LOG_MEAN_TOLERANCE],
         "edge_interaction": energy.edge_interaction.tolist(),
         "fisher_coeff": float(energy.fisher_coeff),
         "sigma": energy.sigma.tolist(),
@@ -351,10 +353,7 @@ def energy_hash(energy: EnergySpec) -> str:
 
 
 def cost_hash(cost: CostSpec) -> str:
-    """Fingerprint of the cost family, its coefficients and its targets.
-
-    A custom running cost cannot be hashed; only its presence is recorded.
-    """
+    """Fingerprint of the cost family, its coefficients and its targets."""
     state_coeff = "tracking_coeff" if cost.family == QUADRATIC_CONTROL else "bound"
     return _digest({
         "family": cost.family,
@@ -364,7 +363,9 @@ def cost_hash(cost: CostSpec) -> str:
         "terminal_offset": float(cost.terminal_offset),
         "target_rho": None if cost.target_rho is None else cost.target_rho.tolist(),
         "target_x": None if cost.target_x is None else cost.target_x.tolist(),
-        "custom_running": cost.custom_running is not None,
+        # A constant; it stays in the payload so that saved grids keep their
+        # fingerprints.
+        "custom_running": False,
     })
 
 
@@ -465,11 +466,10 @@ def hjb_solve_backward(
     ell: float,
 ) -> GridValueFunction:
     """Backward sweep of the monotone explicit scheme from the terminal cost."""
-    if spec.custom_running is not None:
-        raise DomainError("the grid solver needs a closed-form control cost")
     if energy.graph.n != 2:
         raise DomainError("the grid solver is specialized to two vertices")
-    record = _cfl_record(grid, energy, ell)
+    a_r, b1, b2 = _drift_fields(grid, energy)
+    record = _cfl_record(grid, energy, ell, a_r, b1, b2)
     dt, hr, h1, h2 = grid.spacings
     if record["cfl_number"] > 1.0 + 1e-12:
         raise CflError(
@@ -478,14 +478,13 @@ def hjb_solve_backward(
                 dt=dt, b=record["dt_bound"], c=record["cfl_number"]
             )
         )
-    a_r, b1, b2 = _drift_fields(grid, energy)
     rho_nodes, x_nodes = grid.nodes()
     sig2 = energy.sigma**2
     nt = grid.t_axis.size
     values = np.empty(grid.shape)
     values[nt - 1] = spec.terminal_cost(rho_nodes, x_nodes)
-    # G(t, rho, x) is evaluated once: neither built-in family's state cost
-    # depends on t, and custom running costs are refused above.
+    # G(t, rho, x) is evaluated once: neither cost family's state cost
+    # depends on t.
     g_field = spec.state_cost(float(grid.t_axis[-1]), rho_nodes, x_nodes)
     for k in range(nt - 2, -1, -1):
         values[k] = hjb_layer(

@@ -172,6 +172,26 @@ def test_cfl_failure_leaves_no_artifacts(tmp_path):
     assert not out.exists()
 
 
+def test_unknown_cost_key_and_bad_energy_shapes_exit_2_without_artifacts(tmp_path, capsys):
+    out = tmp_path / "out"
+    custom = base_config(out)
+    custom["cost"]["custom_running"] = 0
+    with pytest.raises(TypeError, match="custom_running"):
+        ExperimentConfig.load(write_config(tmp_path, custom, "custom.json"))
+    long_sigma = base_config(out)
+    long_sigma["energy"]["sigma"] = [0.2, 0.2, 0.2]
+    wide = base_config(out)
+    wide["energy"]["interaction"] = np.zeros((3, 3)).tolist()
+    for name, doc in (("custom_running", custom), ("sigma", long_sigma),
+                      ("interaction", wide)):
+        path = write_config(tmp_path, doc, f"{name}.json")
+        for command in ("cost", "hjb"):
+            assert main([command, "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert "invalid configuration" in err and name in err
+    assert not out.exists()
+
+
 def test_cost_and_value_artifacts(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, base_config(out))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphwhs import control, dynamics
+from graphwhs._kernels import fhat_norm
 from graphwhs.checks import benchmark_cost, benchmark_energy
 from graphwhs.control import (
     BOUNDED_TRACKING,
@@ -17,7 +18,6 @@ from graphwhs.control import (
     bellman_gap,
     control_hamiltonian_integrand,
     cost_functional,
-    fhat_on_norms,
     hamiltonian,
     legendre_fhat,
     _read_class,
@@ -243,16 +243,16 @@ def test_fhat_on_norms_matches_vector_form():
     x = np.zeros(2)
     qn = np.array([0.0, 0.3, 1.4, 1.4000001, 5.0])
     ell = 1.0
-    table = fhat_on_norms(spec, qn, ell)
+    table = fhat_norm(qn, spec.control_coeff, ell)
     for norm, expect in zip(qn, table):
         got = legendre_fhat(spec, 0.0, rho, x, np.array([norm, 0.0]), ell)
         assert got == pytest.approx(expect, rel=1e-14, abs=1e-300)
     # Continuous across the quadratic/linear switch and convex in between.
     kink = 2.0 * 0.7 * ell
-    lo, hi = fhat_on_norms(spec, np.array([kink - 1e-9, kink + 1e-9]), ell)
+    lo, hi = fhat_norm(np.array([kink - 1e-9, kink + 1e-9]), spec.control_coeff, ell)
     assert hi - lo == pytest.approx(0.0, abs=1e-8)
     grid = np.linspace(0.0, 4.0, 401)
-    vals = fhat_on_norms(spec, grid, ell)
+    vals = fhat_norm(grid, spec.control_coeff, ell)
     assert np.all(np.diff(vals) >= -1e-15)
     assert np.all(np.diff(vals, 2) >= -1e-12)
 
@@ -291,19 +291,6 @@ def test_fhat_dominates_every_candidate(q1, q2, v1, v2):
         V *= ell / nrm * (1.0 - 1e-12)
     candidate = float(q @ V) - running_cost(spec, 0.0, rho, x, V)
     assert legendre_fhat(spec, 0.0, rho, x, q, ell) >= candidate - 1e-10
-
-
-def test_fhat_ascent_agrees_with_closed_form():
-    # Same quadratic integrand routed through the numeric fallback.
-    c = 0.5
-    custom = CostSpec(custom_running=lambda t, rho, x, V: c * float((V**2).sum()))
-    closed = plain_cost(c=c)
-    rho = np.array([0.5, 0.5])
-    x = np.zeros(2)
-    for q in (np.array([0.3, -0.2]), np.array([0.6, 0.8]), np.array([-2.0, 1.5])):
-        a = legendre_fhat(custom, 0.0, rho, x, q, 1.0)
-        b = legendre_fhat(closed, 0.0, rho, x, q, 1.0)
-        assert a == pytest.approx(b, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ from graphwhs.energies import (
     dominant_energy,
     energy_gradients,
     entropy,
+    fisher_array,
     fisher_information,
     fisher_rho_partial,
     gradient_arrays,
     interaction_potential,
+    kinetic_array,
     kinetic_energy,
     sym_weight_matrix,
 )
@@ -334,8 +336,9 @@ def test_edge_core_matches_dense_reference(n, variant, kind):
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_zero_interaction_skips_its_matmul_bitwise(n):
     """An interaction matrix that vanishes on the edge set adds +0.0 in place
-    of the product; d_rho keeps every bit of the dense formula, on the
-    uniform, motionless rows (whose entries are zero) too."""
+    of its product in d_rho and of its quadratic form in H0; d_rho keeps every
+    bit of the dense formula, on the uniform, motionless rows (whose entries
+    are zero) too, and H0 every bit of the sum with the einsum term."""
     rng = np.random.default_rng(n)
     G = mixed_graph(n)
     off_edge = np.where(G.edge_mask, 0.0, 1.0)   # ignored entries only
@@ -349,6 +352,9 @@ def test_zero_interaction_skips_its_matmul_bitwise(n):
     d_rho, _ = gradient_arrays(spec, rho, x)
     assert (d_rho[:2] == 0.0).all()
     assert_matches(d_rho, dense_reference(spec, rho, x)["d_rho"], True, "d_rho")
+    h0 = kinetic_array(spec, rho, x) + spec.fisher_coeff * fisher_array(spec, rho)
+    h0 = h0 + 0.5 * np.einsum("...i,ij,...j->...", rho, spec.edge_interaction, rho)
+    assert_matches(dominant_array(spec, rho, x), h0, True, "h0")
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.25])
