@@ -1,10 +1,14 @@
 """Config-driven command line harness with reproducible artifact directories.
 
-Every subcommand reads one JSON experiment document, computes its result
-completely, and only then writes an output directory containing the data
-files plus a manifest echoing the effective configuration and seed.  A
-failed run therefore leaves no partial artifacts.  Exit codes: 0 success,
-2 invalid configuration or usage, 3 numeric failure, 64 unknown command.
+The eight experiment subcommands share one path, ``_experiment``: it loads
+the JSON experiment document into library objects (``ExperimentConfig.load``
+checks every value, whichever subcommand runs), calls the subcommand's
+``compute(cfg)`` for its complete result, and only then publishes an output
+directory holding the data files that ``compute``'s writer produces plus a
+manifest echoing the effective configuration and seed (``_publish``).  A
+failed run therefore leaves no partial artifacts.  ``check`` runs the
+verification suite on its own path.  Exit codes: 0 success, 2 invalid
+configuration or usage, 3 numeric failure, 64 unknown command.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .checks import run_all
 from .control import (
     ControlSignal,
     CostSpec,
+    _read_class,
     bellman_gap,
     cost_functional,
     value_function_mc,
@@ -34,21 +39,18 @@ from .dynamics import (
     SdeConfig,
     simulate_batch,
 )
-from .energies import EnergySpec, VariantError
+from .energies import EnergySpec
 from .graphs import (
     DensityState,
     DomainError,
     Graph,
-    GraphError,
     MomentumState,
     ProbabilityWeight,
     ShapeError,
     wasserstein_path,
 )
 from .hjb import (
-    CflError,
     GridValueFunction,
-    NonFiniteError,
     SimplexGrid,
     hjb_solve_backward,
     inf_convolution,
@@ -83,19 +85,21 @@ class CheckFailure(ArithmeticError):
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment document plus the raw dict echoed into manifests."""
+    """The experiment document as library objects, plus the raw dict echoed into manifests.
+
+    ``load`` builds every object the document describes, so each value is
+    checked once, by the type that uses it, whichever subcommand runs.
+    """
 
     raw: dict
-    graph: Graph
-    energy: EnergySpec
+    sde: SdeConfig          # energy, horizon, time step, and the constant control if given
     cost: CostSpec
-    ell: float
-    control_class: dict | None
-    constant_control: np.ndarray | None
+    ell: float              # the grid solver's control radius
+    control_class: dict     # what value and bellman search; its ell defaults to ``ell``
     solver: dict
-    rho: np.ndarray
-    x: np.ndarray
-    rho_target: np.ndarray | None
+    rho0: DensityState
+    x0: MomentumState
+    rho_target: DensityState | None
     seed: int
     out: Path
 
@@ -116,33 +120,14 @@ class ExperimentConfig:
         sigma = esec.pop("sigma", None)
         if sigma is not None and np.ndim(sigma) == 0:
             sigma = np.full(n, float(sigma))
-        # EnergySpec checks the shapes of sigma and the interaction matrix.
         weight = ProbabilityWeight(esec.pop("weight_kind", "average"))
         energy = EnergySpec(graph=graph, weight=weight, sigma=sigma, **esec)
 
         csec = dict(raw.get("cost", {}))
         for key in ("target_rho", "target_x"):
             if csec.get(key) is not None:
-                vec = np.asarray(csec[key], dtype=float)
-                if vec.shape != (n,):
-                    raise ShapeError(f"{key} must have one entry per vertex")
-                csec[key] = vec
+                csec[key] = _vector(csec[key], n, key)
         cost = CostSpec(**csec)
-
-        usec = dict(raw.get("control", {}))
-        ell = float(usec.pop("ell", 1.0))
-        if ell <= 0.0:
-            raise DomainError("control radius ell must be positive")
-        control_class = usec.pop("class", None)
-        constant = usec.pop("constant", None)
-        if constant is not None:
-            constant = np.asarray(constant, dtype=float)
-            if constant.shape != (n,):
-                raise ShapeError("constant control must have one entry per vertex")
-            if float(np.linalg.norm(constant)) > ell + 1e-12:
-                raise DomainError("constant control must lie in the radius-ell ball")
-        if usec:
-            raise DomainError(f"unknown control keys {sorted(usec)}")
 
         ssec = dict(_SOLVER_DEFAULTS)
         given = dict(raw.get("solver", {}))
@@ -150,21 +135,31 @@ class ExperimentConfig:
         if unknown:
             raise DomainError(f"unknown solver keys {sorted(unknown)}")
         ssec.update(given)
-        if not ssec["t0"] <= ssec["T"]:
-            raise DomainError("need t0 <= T")
-        if ssec["dt"] <= 0.0:
-            raise DomainError("dt must be positive")
+        t0, T = ssec["t0"], ssec["T"]
+
+        usec = dict(raw.get("control", {}))
+        ell = float(usec.pop("ell", 1.0))
+        control_class = {"ell": ell, **(usec.pop("class", None) or {"m": 1})}
+        constant = usec.pop("constant", None)
+        if usec:
+            raise DomainError(f"unknown control keys {sorted(usec)}")
+        # The section's ell is also the grid radius: it is read as a class
+        # of its own too, in case the class sets a different one.
+        for klass in (control_class, {"ell": ell}):
+            _read_class(klass, t0, T)
+        if constant is not None:
+            constant = ControlSignal.constant(_vector(constant, n, "control.constant"), t0, T, ell)
+        sde = SdeConfig(
+            energy=energy, t0=t0, T=T, dt=ssec["dt"], control=constant,
+            boundary_floor=ssec["boundary_floor"],
+        )
 
         st = raw.get("state", {})
-        rho = np.asarray(st.get("rho", np.full(n, 1.0 / n)), dtype=float)
-        x = np.asarray(st.get("x", np.zeros(n)), dtype=float)
+        rho0 = DensityState(rho=_vector(st.get("rho", np.full(n, 1.0 / n)), n, "state.rho"))
+        x0 = MomentumState(s=_vector(st.get("x", np.zeros(n)), n, "state.x"))
         rho_target = st.get("rho_target")
         if rho_target is not None:
-            rho_target = np.asarray(rho_target, dtype=float)
-            if rho_target.shape != (n,):
-                raise ShapeError("rho_target must have one entry per vertex")
-        if rho.shape != (n,) or x.shape != (n,):
-            raise ShapeError("state vectors must have one entry per vertex")
+            rho_target = DensityState(rho=_vector(rho_target, n, "state.rho_target"))
 
         effective_seed = int(raw.get("seed", 0) if seed is None else seed)
         effective_out = Path(out if out is not None else raw.get("out", "out"))
@@ -174,37 +169,17 @@ class ExperimentConfig:
 
         return cls(
             raw=echo,
-            graph=graph,
-            energy=energy,
+            sde=sde,
             cost=cost,
             ell=ell,
             control_class=control_class,
-            constant_control=constant,
             solver=ssec,
-            rho=rho,
-            x=x,
+            rho0=rho0,
+            x0=x0,
             rho_target=rho_target,
             seed=effective_seed,
             out=effective_out,
         )
-
-    def sde_config(self) -> SdeConfig:
-        control = None
-        if self.constant_control is not None:
-            control = ControlSignal.constant(
-                self.constant_control, self.solver["t0"], self.solver["T"], self.ell
-            )
-        return SdeConfig(
-            energy=self.energy,
-            t0=self.solver["t0"],
-            T=self.solver["T"],
-            dt=self.solver["dt"],
-            control=control,
-            boundary_floor=self.solver["boundary_floor"],
-        )
-
-    def start_state(self):
-        return DensityState(rho=self.rho), MomentumState(s=self.x)
 
     def t_bar(self) -> float:
         if self.solver["t_bar"] is not None:
@@ -213,16 +188,19 @@ class ExperimentConfig:
 
     def solve_grid(self) -> GridValueFunction:
         """Build the configured grid and solve backward on it."""
-        s = self.solver
+        s, energy = self.solver, self.sde.energy
         grid = SimplexGrid.build(
-            self.energy, self.ell, s["T"], shape=tuple(s["grid_shape"]),
+            energy, self.ell, s["T"], shape=tuple(s["grid_shape"]),
             X=float(s["X"]), rho_margin=float(s["rho_margin"]), t0=s["t0"],
         )
-        return hjb_solve_backward(grid, self.cost, self.energy, self.ell)
+        return hjb_solve_backward(grid, self.cost, energy, self.ell)
 
-    def default_class(self) -> dict:
-        """The configured class, {"m": 1} if none, with the config's ell unless it sets one."""
-        return {"ell": self.ell, **(self.control_class or {"m": 1})}
+
+def _vector(value, n: int, name: str) -> np.ndarray:
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (n,):
+        raise ShapeError(f"{name} must have one entry per vertex")
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +270,27 @@ def cli():
     """Simplex-valued stochastic dynamics, control, and grid solvers."""
 
 
-@cli.command()
-@_config_option
-@_common_options
-def simulate(config_path, seed, out_dir):
+def _experiment(compute):
+    """Register ``compute(cfg) -> writer`` as the subcommand of its name.
+
+    The subcommand loads the document, computes every result, and only then
+    publishes the artifact directory, which ``writer(dir)`` fills.
+    """
+
+    @_config_option
+    @_common_options
+    def command(config_path, seed, out_dir):
+        cfg = ExperimentConfig.load(config_path, seed, out_dir)
+        _publish(cfg, compute.__name__, compute(cfg))
+
+    return cli.command(compute.__name__, help=compute.__doc__)(command)
+
+
+@_experiment
+def simulate(cfg):
     """Integrate an ensemble of coupled density/momentum paths."""
-    cfg = ExperimentConfig.load(config_path, seed, out_dir)
-    rho0, x0 = cfg.start_state()
     trajs = simulate_batch(
-        cfg.sde_config(), rho0, x0, int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.sde, cfg.rho0, cfg.x0, int(cfg.solver["n_paths"]), cfg.seed,
         escape_quota=cfg.solver["escape_quota"],
     )
 
@@ -308,28 +298,24 @@ def simulate(config_path, seed, out_dir):
         for k, traj in enumerate(trajs):
             traj.to_csv(d / f"trajectory_{k:04d}.csv")
 
-    _publish(cfg, "simulate", writer)
+    return writer
 
 
-@cli.command()
-@_config_option
-@_common_options
-def transform(config_path, seed, out_dir):
+@_experiment
+def transform(cfg):
     """Simulate, map each path to wave coordinates, and report residuals."""
-    cfg = ExperimentConfig.load(config_path, seed, out_dir)
-    rho0, x0 = cfg.start_state()
     trajs = simulate_batch(
-        cfg.sde_config(), rho0, x0, int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.sde, cfg.rho0, cfg.x0, int(cfg.solver["n_paths"]), cfg.seed,
         escape_quota=cfg.solver["escape_quota"],
     )
-    n = cfg.graph.n
-    V = cfg.constant_control if cfg.constant_control is not None else np.zeros(n)
+    control = cfg.sde.control
+    V = np.zeros(cfg.rho0.n) if control is None else control.values[0]
     stats = []
     for traj in trajs:
         u0 = madelung_forward(
             DensityState(rho=traj.rho_path[0]), MomentumState(s=traj.s_path[0])
         )
-        res = sse_residual(cfg.energy, V, traj)
+        res = sse_residual(cfg.sde.energy, V, traj)
         stats.append(
             {
                 "path": traj.path_index,
@@ -346,22 +332,20 @@ def transform(config_path, seed, out_dir):
             wave_csv(traj, d / f"wave_{k:04d}.csv")
         _dump(d / "residuals.json", {"paths": stats})
 
-    _publish(cfg, "transform", writer)
+    return writer
 
 
-@cli.command()
-@_config_option
-@_common_options
-def wdist(config_path, seed, out_dir):
+@_experiment
+def wdist(cfg):
     """Transport distance from state.rho to state.rho_target."""
-    cfg = ExperimentConfig.load(config_path, seed, out_dir)
     if cfg.rho_target is None:
         raise DomainError("wdist needs state.rho_target")
+    energy = cfg.sde.energy
     res = wasserstein_path(
-        cfg.graph,
-        cfg.energy.weight,
-        DensityState(rho=cfg.rho),
-        DensityState(rho=cfg.rho_target),
+        energy.graph,
+        energy.weight,
+        cfg.rho0,
+        cfg.rho_target,
         steps=int(cfg.solver["path_steps"]),
         iters=int(cfg.solver["path_iters"]),
     )
@@ -377,68 +361,52 @@ def wdist(config_path, seed, out_dir):
                 "action_trace": [float(a) for a in res.action_trace],
             },
         )
-        header = ",".join(f"rho_{i}" for i in range(cfg.graph.n))
+        header = ",".join(f"rho_{i}" for i in range(energy.graph.n))
         np.savetxt(d / "path.csv", res.path, delimiter=",", header=header,
                    comments="", fmt="%.17g")
 
-    _publish(cfg, "wdist", writer)
+    return writer
 
 
-@cli.command()
-@_config_option
-@_common_options
-def cost(config_path, seed, out_dir):
+@_experiment
+def cost(cfg):
     """Expected cost of the configured (constant) control."""
-    cfg = ExperimentConfig.load(config_path, seed, out_dir)
-    rho0, x0 = cfg.start_state()
-    sde = cfg.sde_config()
     est = cost_functional(
-        cfg.cost, sde, cfg.solver["t0"], rho0, x0, sde.control, int(cfg.solver["n_paths"]),
-        cfg.seed,
+        cfg.cost, cfg.sde, cfg.solver["t0"], cfg.rho0, cfg.x0, cfg.sde.control,
+        int(cfg.solver["n_paths"]), cfg.seed,
     )
-    _publish(cfg, "cost", lambda d: _dump(d / "cost.json", est.to_dict()))
+    return lambda d: _dump(d / "cost.json", est.to_dict())
 
 
-@cli.command()
-@_config_option
-@_common_options
-def value(config_path, seed, out_dir):
+@_experiment
+def value(cfg):
     """Monte Carlo value-function upper approximation at the start state."""
-    cfg = ExperimentConfig.load(config_path, seed, out_dir)
-    rho0, x0 = cfg.start_state()
     est = value_function_mc(
-        cfg.cost, cfg.sde_config(), cfg.solver["t0"], rho0, x0,
-        cfg.default_class(), int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.cost, cfg.sde, cfg.solver["t0"], cfg.rho0, cfg.x0,
+        cfg.control_class, int(cfg.solver["n_paths"]), cfg.seed,
         budget=float(cfg.solver["budget"]),
     )
-    _publish(cfg, "value", lambda d: _dump(d / "value.json", est.to_dict()))
+    return lambda d: _dump(d / "value.json", est.to_dict())
 
 
-@cli.command()
-@_config_option
-@_common_options
-def bellman(config_path, seed, out_dir):
+@_experiment
+def bellman(cfg):
     """Dynamic-programming gap diagnostic at the configured split time."""
-    cfg = ExperimentConfig.load(config_path, seed, out_dir)
-    rho0, x0 = cfg.start_state()
     inner = cfg.solver["inner_paths"]
     gap, se, detail = bellman_gap(
-        cfg.cost, cfg.sde_config(), cfg.solver["t0"], cfg.t_bar(),
-        rho0, x0, cfg.default_class(), int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.cost, cfg.sde, cfg.solver["t0"], cfg.t_bar(),
+        cfg.rho0, cfg.x0, cfg.control_class, int(cfg.solver["n_paths"]), cfg.seed,
         inner_paths=None if inner is None else int(inner),
         return_detail=True,
     )
     payload = {"gap": gap, "std_error": se, "within_3_se": bool(gap <= 3.0 * se),
                "detail": detail}
-    _publish(cfg, "bellman", lambda d: _dump(d / "bellman.json", payload))
+    return lambda d: _dump(d / "bellman.json", payload)
 
 
-@cli.command()
-@_config_option
-@_common_options
-def hjb(config_path, seed, out_dir):
+@_experiment
+def hjb(cfg):
     """Backward grid solve of the control Hamilton-Jacobi equation."""
-    cfg = ExperimentConfig.load(config_path, seed, out_dir)
     gvf = cfg.solve_grid()
     summary = {
         "cfl": gvf.grid.cfl,
@@ -451,17 +419,14 @@ def hjb(config_path, seed, out_dir):
         gvf.to_dir(d / "grid")
         _dump(d / "hjb.json", summary)
 
-    _publish(cfg, "hjb", writer)
+    return writer
 
 
-@cli.command()
-@_config_option
-@_common_options
-def convolve(config_path, seed, out_dir):
+@_experiment
+def convolve(cfg):
     """Sup/inf envelope diagnostics of the grid value function."""
-    cfg = ExperimentConfig.load(config_path, seed, out_dir)
     gvf = cfg.solve_grid()
-    weights = metric_weights_for_value(cfg.graph.n)
+    weights = metric_weights_for_value(cfg.rho0.n)
     rows = []
     for theta in cfg.solver["theta"]:
         theta = float(theta)
@@ -477,7 +442,7 @@ def convolve(config_path, seed, out_dir):
                 ),
             }
         )
-    _publish(cfg, "convolve", lambda d: _dump(d / "convolve.json", {"envelopes": rows}))
+    return lambda d: _dump(d / "convolve.json", {"envelopes": rows})
 
 
 @cli.command()
@@ -529,27 +494,11 @@ def main(argv=None) -> int:
         message = exc.format_message()
         click.echo(f"error: {message}", err=True)
         return 64 if "No such command" in message else 2
-    except (
-        CflError,
-        NonFiniteError,
-        BoundaryEscapeError,
-        EscapeQuotaError,
-        VacuumError,
-        ArithmeticError,
-    ) as exc:
+    # VacuumError is a ValueError, so the numeric failures are caught first.
+    except (ArithmeticError, BoundaryEscapeError, EscapeQuotaError, VacuumError) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         return 3
-    except (
-        DomainError,
-        ShapeError,
-        GraphError,
-        VariantError,
-        ValueError,
-        KeyError,
-        TypeError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, KeyError, TypeError, FileNotFoundError) as exc:
         click.echo(f"invalid configuration: {exc}", err=True)
         return 2
     return 0

@@ -55,6 +55,7 @@ from .graphs import (
     ShapeError,
     _mean,
     _mean_dt,
+    _mobility_laplacian,
 )
 
 POLYNOMIAL_INTERACTION = "polynomial_interaction"
@@ -173,8 +174,8 @@ def dominant_energy(
 def energy_gradients(spec: EnergySpec, rho: DensityState, x: MomentumState) -> EnergyGradients:
     """Analytic first derivatives of H0 and its x-Hessian."""
     d_rho, d_x = gradient_arrays(spec, rho.rho, x.s)
-    e = spec.graph.edge_list
-    hess = e.laplacian(e.omega * sym_weight_matrix(spec.graph, spec.weight, rho.rho))
+    # The x-Hessian is the mobility Laplacian that transport paths solve.
+    hess = _mobility_laplacian(spec.graph, spec.weight, rho.rho)
     return EnergyGradients(d_rho=d_rho, d_x=d_x, hess_x=hess)
 
 

@@ -305,6 +305,8 @@ def _drift_fields(grid: SimplexGrid, energy: EnergySpec):
 
 
 def _cfl_record(grid: SimplexGrid, energy: EnergySpec, ell: float, a_r, b1, b2) -> dict:
+    if ell <= 0.0:
+        raise DomainError("control radius ell must be positive")
     dt, hr, h1, h2 = grid.spacings
     sig2 = energy.sigma**2
     denom = (

@@ -182,10 +182,9 @@ class RngStream:
         """
         if n_steps < 0 or substeps < 1:
             raise ValueError("need n_steps >= 0 and substeps >= 1")
-        z = self.base_normals(n_steps * substeps * n_dim).reshape(n_steps, substeps, n_dim)
-        # Scale before summing: the coarse increment is then the plain float
-        # sum of the fine increments it covers.
-        return (np.sqrt(dt / substeps) * z).sum(axis=1)
+        return batch_increments(
+            self.master_seed, 1, n_steps, n_dim, dt, substeps, self.stream_id
+        )[0]
 
     def bridge_normal(self, step_index: int, slot: int, n_dim: int) -> Array:
         """Standard-normal vector for the ``slot``-th split inside step ``step_index``."""
@@ -216,4 +215,6 @@ def batch_increments(
     for p in range(n_paths):
         raw[p] = _words(master_seed, first_stream + p, 0, words)
     z = _raw_to_normals(raw).reshape(n_paths, n_steps, substeps, n_dim)
+    # Scale before summing: the coarse increment is then the plain float
+    # sum of the fine increments it covers.
     return (np.sqrt(dt / substeps) * z).sum(axis=2)

@@ -59,11 +59,11 @@ def only_dir(root, prefix):
 def test_config_load_and_overrides(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path / "out"))
     cfg = ExperimentConfig.load(path)
-    assert cfg.graph.n == 2
+    assert cfg.sde.energy.graph.n == 2
     assert cfg.seed == 7
     assert cfg.solver["dt"] == 5e-3
     assert cfg.solver["t0"] == 0.0  # defaults fill unset solver keys
-    assert np.array_equal(cfg.rho, [0.35, 0.65])
+    assert np.array_equal(cfg.rho0.rho, [0.35, 0.65])
     over = ExperimentConfig.load(path, seed=123, out=tmp_path / "elsewhere")
     assert over.seed == 123
     assert over.raw["seed"] == 123  # the echoed document tracks the override
@@ -151,6 +151,36 @@ def test_exit_codes(tmp_path):
     assert main(["simulate", "--config", write_config(tmp_path, bad, "bad.json")]) == 2
 
 
+def _raised_errors():
+    from graphwhs.dynamics import BoundaryEscapeError, EscapeQuotaError
+    from graphwhs.energies import VariantError
+    from graphwhs.graphs import DomainError, GraphError, ShapeError
+    from graphwhs.hjb import CflError, NonFiniteError
+    from graphwhs.waves import VacuumError
+
+    numeric = [CflError("cfl"), NonFiniteError(3), BoundaryEscapeError(0.5, 1),
+               EscapeQuotaError(2, 4), VacuumError("vacuum"), ArithmeticError("arith")]
+    invalid = [DomainError("domain"), ShapeError("shape"), GraphError("graph"),
+               VariantError("variant"), ValueError("value"), KeyError("key"),
+               TypeError("type"), FileNotFoundError("missing"),
+               json.JSONDecodeError("garbled", "{", 1)]
+    return [pytest.param(exc, code, id=type(exc).__name__)
+            for excs, code in ((numeric, 3), (invalid, 2)) for exc in excs]
+
+
+@pytest.mark.parametrize("exc, code", _raised_errors())
+def test_raised_error_classes_map_onto_exit_codes(tmp_path, monkeypatch, exc, code):
+    import graphwhs.cli
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(graphwhs.cli, "simulate_batch", fail)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, base_config(out))]) == code
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("klass", [{"m": 0}, {"m": -1}, {"golden_iter": 1}, {"ell": 0.0}])
 def test_bad_control_class_is_a_configuration_error(tmp_path, klass, capsys):
     out = tmp_path / "out"
@@ -160,6 +190,32 @@ def test_bad_control_class_is_a_configuration_error(tmp_path, klass, capsys):
     assert main(["value", "--config", path]) == 2
     assert main(["bellman", "--config", path]) == 2
     assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+EXPERIMENTS = ["simulate", "transform", "wdist", "cost", "value", "bellman", "hjb", "convolve"]
+
+
+@pytest.mark.parametrize("section, key, bad, commands", [
+    ("control", None, {"ell": -1.0}, EXPERIMENTS),
+    ("control", None, {"ell": -1.0, "class": {"ell": 0.5}}, EXPERIMENTS),
+    ("state", "rho", [0.3, 0.6], ["hjb"]),
+    ("control", "class", {"m": 0}, ["simulate", "cost"]),
+], ids=["ell_negative", "ell_negative_under_class_ell", "rho_off_simplex", "zero_pieces"])
+def test_bad_values_fail_at_load_for_every_subcommand(tmp_path, capsys, section, key, bad,
+                                                      commands):
+    """A bad value exits 2 and writes nothing, even where the subcommand
+    does not use it."""
+    out = tmp_path / "out"
+    doc = base_config(out)
+    if key is None:
+        doc[section] = bad
+    else:
+        doc[section][key] = bad
+    path = write_config(tmp_path, doc)
+    for command in commands:
+        assert main([command, "--config", path]) == 2, command
+        assert "invalid configuration" in capsys.readouterr().err
     assert not out.exists()
 
 

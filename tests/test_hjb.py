@@ -248,6 +248,11 @@ def test_solver_guards():
     coarse = SimplexGrid.build(energy, 1.0, 0.25, shape=(9, 9, 9, 4))
     with pytest.raises(CflError, match="monotonicity"):
         hjb_solve_backward(coarse, CostSpec(), energy, 1.0)
+    for ell in (0.0, -1.0):
+        with pytest.raises(DomainError, match="ell must be positive"):
+            SimplexGrid.build(energy, ell, 0.25, shape=(9, 9, 9, 16))
+        with pytest.raises(DomainError, match="ell must be positive"):
+            hjb_solve_backward(grid, CostSpec(), energy, ell)
     with pytest.raises(DomainError):
         GridValueFunction(grid=grid, values=np.zeros((3, 3, 3, 3)), cost_spec=None,
                           energy=None, ell=1.0, cfl={})
