@@ -67,7 +67,6 @@ from .graphs import (
     wasserstein_distance,
     wasserstein_path,
     weight_eval,
-    weight_matrix,
     weight_partial,
 )
 from .hjb import (

@@ -200,8 +200,8 @@ def criterion_2() -> CheckResult:
         rho = DensityState(rho=_random_interior_rho(rng, n))
         phi = rng.normal(0.0, 1.0, n)
         raw = rng.normal(0.0, 1.0, (n, n))
-        skew = np.where(G.edge_mask, raw - raw.T, 0.0)
-        ups = EdgeField(values=skew, graph=G)
+        e = G.edge_list
+        ups = EdgeField(values=(raw - raw.T)[e.ii, e.jj], graph=G)
         lhs = rho_inner(G, w, rho, graph_gradient(G, phi), ups)
         rhs = float(phi @ divergence(G, w, rho, ups))
         worst = max(worst, abs(lhs + rhs))

@@ -92,14 +92,19 @@ class CostSpec:
         if family not in FAMILIES:
             raise DomainError(f"unknown cost family {self.family!r}")
         object.__setattr__(self, "family", family)
-        if self.control_coeff <= 0.0:
-            raise DomainError("control_coeff must be positive")
-        if min(self.tracking_coeff, self.bound, self.terminal_weight) < 0.0:
-            raise DomainError("cost weights must be nonnegative")
+        if not 0.0 < self.control_coeff < math.inf:
+            raise DomainError("control_coeff must be positive and finite")
+        weights = (self.tracking_coeff, self.bound, self.terminal_weight)
+        if not all(0.0 <= c < math.inf for c in weights):
+            raise DomainError("cost weights must be nonnegative and finite")
+        if not math.isfinite(self.terminal_offset):
+            raise DomainError("terminal_offset must be finite")
         for key in ("target_rho", "target_x"):
             target = getattr(self, key)
             if target is not None:
                 target = np.array(target, dtype=float)
+                if not np.isfinite(target).all():
+                    raise DomainError(f"{key} must be finite")
                 target.setflags(write=False)
                 object.__setattr__(self, key, target)
 
@@ -142,8 +147,8 @@ def running_cost(spec: CostSpec, t, rho, x, V) -> float | Array:
 
 def legendre_fhat(spec: CostSpec, t, rho, x, q, ell: float) -> float:
     """sup over the control ball of <q, V> - F(t, rho, x, V)."""
-    if ell <= 0.0:
-        raise DomainError("ball radius must be positive")
+    if not 0.0 < ell < math.inf:
+        raise DomainError("ball radius must be positive and finite")
     rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
     x = np.asarray(getattr(x, "s", x), dtype=float)
     q = np.asarray(q, dtype=float)

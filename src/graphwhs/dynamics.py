@@ -82,10 +82,10 @@ class SdeConfig:
     max_rejects: int = 10
 
     def __post_init__(self):
-        if not 0.0 <= self.t0 < self.T:
-            raise DomainError("need 0 <= t0 < T")
-        if self.dt <= 0.0:
-            raise DomainError("dt must be positive")
+        if not 0.0 <= self.t0 < self.T < math.inf:
+            raise DomainError("need 0 <= t0 < T < inf")
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError("dt must be positive and finite")
         n = self.energy.graph.n
         if not 0.0 < self.boundary_floor < 1.0 / n:
             raise DomainError("boundary_floor must lie in (0, 1/n)")
@@ -284,12 +284,13 @@ class ControlSignal:
         vals = np.array(self.values, dtype=float, ndmin=2)
         if bp.ndim != 1 or vals.ndim > 3 or bp.size != vals.shape[-2] + 1:
             raise ShapeError("need one more breakpoint than control pieces")
-        if np.any(np.diff(bp) <= 0.0):
+        # Negated comparisons, so that NaN fails each check.
+        if not (np.diff(bp) > 0.0).all():
             raise DomainError("breakpoints must be strictly increasing")
-        if self.ell <= 0.0:
-            raise DomainError("control radius must be positive")
+        if not 0.0 < self.ell < math.inf:
+            raise DomainError("control radius must be positive and finite")
         norms = np.sqrt((vals**2).sum(axis=-1))
-        if np.any(norms > self.ell * (1.0 + 1e-12)):
+        if not (norms <= self.ell * (1.0 + 1e-12)).all():
             raise DomainError("control value outside the admissible ball")
         bp.setflags(write=False)
         vals.setflags(write=False)

@@ -86,8 +86,8 @@ class EnergySpec:
         if variant not in VARIANTS:
             raise VariantError(f"unknown energy variant {self.variant!r}")
         object.__setattr__(self, "variant", variant)
-        if self.fisher_coeff < 0.0:
-            raise DomainError("fisher_coeff must be nonnegative")
+        if not 0.0 <= self.fisher_coeff < np.inf:
+            raise DomainError("fisher_coeff must be nonnegative and finite")
         w = self.interaction
         if w is None:
             w = np.zeros((n, n))
@@ -114,7 +114,7 @@ class EnergySpec:
     @cached_property
     def edge_interaction(self) -> Array:
         """The interaction matrix with its entries off the edge set zeroed."""
-        wm = np.where(self.graph.edge_mask, self.interaction, 0.0)
+        wm = np.where(self.graph.omega > 0.0, self.interaction, 0.0)
         wm.setflags(write=False)
         return wm
 
@@ -186,14 +186,6 @@ def energy_gradients(spec: EnergySpec, rho: DensityState, x: MomentumState) -> E
 def _check_positive(rho: Array) -> None:
     if (rho <= 0.0).any():
         raise DomainError("energy terms need strictly positive densities")
-
-
-def sym_weight_matrix(G: Graph, w: ProbabilityWeight, rho: Array) -> Array:
-    """g(rho) on the ordered edges of G, shape (..., E); equal on (i, j) and (j, i)."""
-    if (rho < 0.0).any():
-        raise DomainError("probability weights take nonnegative arguments")
-    e = G.edge_list
-    return _mean(w, rho[..., e.ii], rho[..., e.jj])
 
 
 def _kinetic(spec: EnergySpec, rho: Array, x: Array) -> Array:

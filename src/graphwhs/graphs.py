@@ -4,21 +4,20 @@ Conventions
 -----------
 * Vertices are 0..n-1.  Edge weights live in a dense symmetric matrix
   ``omega`` with zero diagonal; ``omega[i, j] > 0`` iff {i, j} is an edge.
-  Graphs must be connected.  Dense storage caps n at 64 (the transport path
-  still solves one dense n x n Laplacian per path interval).
-* Edge-local quantities are computed on the oriented edge list
-  ``Graph.edge_list``: both orientations (i, j) and (j, i) of every edge,
-  sorted by tail i and then by head j, with per-edge omega, built once per
-  graph.  Arrays of edge terms have shape (..., E), so a drift evaluation
-  costs O(|E|) per state rather than O(n^2).  ``EdgeList.vertex_sum`` folds
-  each vertex's terms from 0.0 in head order, the order numpy sums a dense
-  row of fewer than 8 entries; for n < 8 the per-vertex sums therefore equal
-  the masked dense row sums bitwise.
+  Graphs must be connected.  n is capped at 64 because the transport path
+  still solves one dense n x n Laplacian per path interval.
+* Every edge quantity lives on the oriented edge list ``Graph.edge_list``:
+  both orientations (i, j) and (j, i) of every edge, sorted by tail i and
+  then by head j, with per-edge omega, built once per graph.  Arrays of edge
+  terms have shape (..., E), so a drift evaluation costs O(|E|) per state
+  rather than O(n^2).  ``EdgeList.vertex_sum`` folds each vertex's terms
+  from 0.0 in head order, the order numpy sums a dense row of fewer than 8
+  entries; for n < 8 the per-vertex sums therefore equal the masked dense
+  row sums bitwise.
 * Densities rho are strictly interior points of the probability simplex;
   construction rejects components at or below a floor (default 1e-9),
   because the Fisher-type energies blow up at the boundary.
-* Edge fields are skew-symmetric n x n matrices supported on edges
-  (``v[i, j] = -v[j, i]``, zero off-edge).
+* Edge fields are skew-symmetric (E,) arrays: ``v == -v[edge_list.rev]``.
 * A probability weight g is a symmetric mean evaluated on the endpoint
   densities of an edge: arithmetic, logarithmic, or harmonic.  It satisfies
   min <= g <= max, positive homogeneity, and concavity; the logarithmic
@@ -105,6 +104,8 @@ class Graph:
             raise ShapeError(f"weight matrix must be ({self.n}, {self.n})")
         if self.n < 1 or self.n > MAX_DENSE_N:
             raise GraphError(f"vertex count must be in [1, {MAX_DENSE_N}]")
+        if not np.isfinite(om).all():
+            raise GraphError("weights must be finite")
         if not np.array_equal(om, om.T):
             raise GraphError("weights must be exactly symmetric")
         if np.any(np.diag(om) != 0.0):
@@ -116,46 +117,43 @@ class Graph:
             raise GraphError("graph must be connected")
 
     def _connected(self) -> bool:
-        # Plain BFS on the adjacency mask.
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        adj = self.omega > 0.0
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(adj[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        return bool(seen.all())
+        # Grow the set reached from vertex 0 by the heads of its edges until it stops.
+        e = self.edge_list
+        seen = np.arange(self.n) == 0
+        while True:
+            grown = seen.copy()
+            grown[e.jj[seen[e.ii]]] = True
+            if np.array_equal(grown, seen):
+                return bool(seen.all())
+            seen = grown
 
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Unordered edges as (i, j) with i < j."""
-        ii, jj = np.nonzero(np.triu(self.omega, k=1))
-        return list(zip(ii.tolist(), jj.tolist()))
-
-    @property
-    def edge_mask(self) -> Array:
-        return self.omega > 0.0
+        e = self.edge_list
+        up = e.ii < e.jj
+        return list(zip(e.ii[up].tolist(), e.jj[up].tolist()))
 
     @cached_property
     def edge_list(self) -> "EdgeList":
         """The oriented edge arrays, built once per graph."""
         return EdgeList.build(self.omega)
 
-    @property
-    def sqrt_omega(self) -> Array:
-        return np.sqrt(self.omega)
-
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> "Graph":
         om = np.zeros((n, n))
+        seen = set()
         for i, j, w in edges:
+            if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in (i, j)):
+                raise GraphError(f"edge ({i!r}, {j!r}) needs integer vertex indices")
             if i == j:
                 raise GraphError("self-loops are not allowed")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"edge ({i}, {j}) out of range")
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                raise GraphError(f"edge ({i}, {j}) listed twice")
+            seen.add(key)
             om[i, j] = om[j, i] = float(w)
         return cls(n=n, omega=om)
 
@@ -178,6 +176,7 @@ class Graph:
 class EdgeList(NamedTuple):
     """Both orientations of every edge, sorted by tail and then by head.
 
+    ``rev[k]`` indexes edge k's reverse (the edges sorted by head, then tail).
     ``first`` and ``folds`` plan ``vertex_sum``: the edge holding each
     vertex's first neighbour (None when that is edge v itself), then, for
     each later neighbour slot, the vertices that have one (None for all) and
@@ -188,6 +187,7 @@ class EdgeList(NamedTuple):
     ii: Array
     jj: Array
     omega: Array
+    rev: Array
     first: Array | None
     folds: tuple
 
@@ -203,7 +203,7 @@ class EdgeList(NamedTuple):
             verts = np.flatnonzero(degree > k)
             folds.append((None if verts.size == n else _frozen(verts), _frozen(starts[verts] + k)))
         return cls(
-            n, _frozen(ii), _frozen(jj), _readonly(omega[ii, jj]),
+            n, _frozen(ii), _frozen(jj), _readonly(omega[ii, jj]), _frozen(np.lexsort((ii, jj))),
             None if first is None else _frozen(first), tuple(folds),
         )
 
@@ -282,20 +282,18 @@ class MomentumState:
 
 @dataclass(frozen=True)
 class EdgeField:
-    """Skew-symmetric matrix supported on the edge set of a graph."""
+    """Skew-symmetric (E,) array on the oriented edge list of a graph."""
 
     values: Array
     graph: Graph
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        n = self.graph.n
-        if v.shape != (n, n):
-            raise ShapeError(f"edge field must be ({n}, {n})")
-        if not np.array_equal(v, -v.T):
+        e = self.graph.edge_list
+        if v.shape != e.ii.shape:
+            raise ShapeError(f"edge field must have one entry per oriented edge ({e.ii.size})")
+        if not np.array_equal(v, -v[e.rev]):
             raise ShapeError("edge field must be exactly skew-symmetric")
-        if np.any(v[~self.graph.edge_mask] != 0.0):
-            raise ShapeError("edge field supported off the edge set")
         object.__setattr__(self, "values", _readonly(v))
 
 
@@ -406,12 +404,6 @@ def _mean_dt(w: ProbabilityWeight, t: Array, r: Array):
     return np.where(near, np.polyval(_DT_SERIES, x), gt)
 
 
-def weight_matrix(G: Graph, w: ProbabilityWeight, rho: Array) -> Array:
-    """g_ij(rho) on edges, zero elsewhere; rho is a raw vector here."""
-    g = weight_eval(w, rho[:, None], rho[None, :])
-    return np.where(G.edge_mask, g, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # first-order calculus
 # ---------------------------------------------------------------------------
@@ -421,21 +413,23 @@ def graph_gradient(G: Graph, phi: Array) -> EdgeField:
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (G.n,):
         raise ShapeError("phi must have one entry per vertex")
-    vals = G.sqrt_omega * (phi[:, None] - phi[None, :])
-    return EdgeField(values=np.where(G.edge_mask, vals, 0.0), graph=G)
+    e = G.edge_list
+    return EdgeField(values=np.sqrt(e.omega) * (phi[e.ii] - phi[e.jj]), graph=G)
 
 
 def divergence(G: Graph, w: ProbabilityWeight, rho: DensityState, v: EdgeField) -> Array:
     """(div_rho v)_i = sum_{j ~ i} sqrt(omega_ij) v_ji g_ij(rho); mean-zero."""
     if v.graph is not G and not np.array_equal(v.graph.omega, G.omega):
         raise ShapeError("edge field built on a different graph")
-    g = weight_matrix(G, w, rho.rho)
-    return (G.sqrt_omega * v.values.T * g).sum(axis=1)
+    e = G.edge_list
+    g = weight_eval(w, rho.rho[e.ii], rho.rho[e.jj])
+    return e.vertex_sum(np.sqrt(e.omega) * v.values[e.rev] * g)
 
 
 def rho_inner(G: Graph, w: ProbabilityWeight, rho: DensityState, u: EdgeField, v: EdgeField) -> float:
     """Mobility inner product <u, v>_rho (both edge orientations summed)."""
-    g = weight_matrix(G, w, rho.rho)
+    e = G.edge_list
+    g = weight_eval(w, rho.rho[e.ii], rho.rho[e.jj])
     return 0.5 * float((u.values * v.values * g).sum())
 
 
@@ -459,10 +453,8 @@ class PathResult(NamedTuple):
 
 def _mobility_laplacian(G: Graph, w: ProbabilityWeight, rho: Array) -> Array:
     # (..., n, n) mobility Laplacians for (..., n) densities.
-    if (rho < 0.0).any():
-        raise DomainError("probability weights take nonnegative arguments")
     e = G.edge_list
-    return e.laplacian(e.omega * _mean(w, rho[..., e.ii], rho[..., e.jj]))
+    return e.laplacian(e.omega * weight_eval(w, rho[..., e.ii], rho[..., e.jj]))
 
 
 def _kinetic_rho_partial(G: Graph, w: ProbabilityWeight, rho: Array, phi: Array) -> Array:
@@ -481,7 +473,6 @@ def wasserstein_path(
     rho1: DensityState,
     steps: int = 32,
     iters: int = 300,
-    floor: float = EPS_FLOOR,
 ) -> PathResult:
     """Locally minimized discrete action between two interior densities.
 
@@ -494,8 +485,8 @@ def wasserstein_path(
     (divergence-free components are rho-orthogonal to gradients), and each
     interval contributes dt * <phi, vel> to the action.  Interior nodes
     descend along the analytic action gradient (projected onto the simplex
-    tangent) with backtracking; iterates that leave the interior are
-    rejected by the line search.
+    tangent) with backtracking; the line search rejects trials with an
+    interior component at or below ``EPS_FLOOR``.
     """
     if steps < 8:
         raise DomainError("need at least 8 path steps")
@@ -545,7 +536,7 @@ def wasserstein_path(
         accepted = False
         while step_size > 1e-14:
             trial = path - step_size * grad
-            if trial[1:-1].min() > floor:
+            if trial[1:-1].min() > EPS_FLOOR:
                 trial_action, trial_phis = action_and_potentials(trial)
                 if trial_action < action - 1e-4 * step_size * gnorm2:
                     path, action, phis = trial, trial_action, trial_phis

@@ -98,8 +98,8 @@ class TruncationFn:
     def __post_init__(self):
         # R >= 1 keeps the decay plateau R^(-beta) at or below the inner
         # plateau 1, so the profile is genuinely non-increasing.
-        if self.R < 1.0:
-            raise DomainError("cutoff level must be at least 1")
+        if not 1.0 <= self.R < np.inf:
+            raise DomainError("cutoff level must be finite and at least 1")
         if not 0.0 < self.beta < 1.0:
             raise DomainError("decay exponent must lie in (0, 1)")
 
@@ -305,8 +305,8 @@ def _drift_fields(grid: SimplexGrid, energy: EnergySpec):
 
 
 def _cfl_record(grid: SimplexGrid, energy: EnergySpec, ell: float, a_r, b1, b2) -> dict:
-    if ell <= 0.0:
-        raise DomainError("control radius ell must be positive")
+    if not 0.0 < ell < np.inf:
+        raise DomainError("control radius ell must be positive and finite")
     dt, hr, h1, h2 = grid.spacings
     sig2 = energy.sigma**2
     denom = (

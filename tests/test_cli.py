@@ -201,7 +201,9 @@ EXPERIMENTS = ["simulate", "transform", "wdist", "cost", "value", "bellman", "hj
     ("control", None, {"ell": -1.0, "class": {"ell": 0.5}}, EXPERIMENTS),
     ("state", "rho", [0.3, 0.6], ["hjb"]),
     ("control", "class", {"m": 0}, ["simulate", "cost"]),
-], ids=["ell_negative", "ell_negative_under_class_ell", "rho_off_simplex", "zero_pieces"])
+    ("solver", "dt", float("inf"), ["cost", "simulate", "hjb"]),
+], ids=["ell_negative", "ell_negative_under_class_ell", "rho_off_simplex", "zero_pieces",
+        "dt_infinite"])
 def test_bad_values_fail_at_load_for_every_subcommand(tmp_path, capsys, section, key, bad,
                                                       commands):
     """A bad value exits 2 and writes nothing, even where the subcommand

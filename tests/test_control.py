@@ -58,8 +58,15 @@ def test_signal_validation():
         ControlSignal(breakpoints=[0.0, 1.0], values=[[0.1, 0.0], [0.0, 0.1]], ell=1.0)
     with pytest.raises(DomainError):
         ControlSignal(breakpoints=[0.0, 1.0, 1.0], values=np.zeros((2, 2)), ell=1.0)
+    for ell in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ControlSignal(breakpoints=[0.0, 1.0], values=[[0.0, 0.0]], ell=ell)
     with pytest.raises(DomainError):
-        ControlSignal(breakpoints=[0.0, 1.0], values=[[0.0, 0.0]], ell=0.0)
+        ControlSignal.constant([5, 5], 0, 1, math.nan)   # NaN would admit every value
+    with pytest.raises(DomainError):
+        ControlSignal(breakpoints=[0.0, math.nan], values=[[0.0, 0.0]], ell=1.0)
+    with pytest.raises(DomainError):
+        ControlSignal(breakpoints=[0.0, 1.0], values=[[math.nan, 0.0]], ell=1.0)
     with pytest.raises(DomainError):
         ControlSignal(breakpoints=[0.0, 1.0], values=[[1.0, 1.0]], ell=1.0)
 
@@ -95,6 +102,13 @@ def test_stacked_signal_gives_one_row_per_path():
 def test_cost_spec_guards():
     with pytest.raises(DomainError):
         CostSpec(family="free_lunch")
+    for bad in (math.nan, math.inf):
+        for key in ("control_coeff", "tracking_coeff", "bound", "terminal_weight", "terminal_offset"):
+            with pytest.raises(DomainError):
+                CostSpec(**{key: bad})
+        for key in ("target_rho", "target_x"):
+            with pytest.raises(DomainError):
+                CostSpec(**{key: [0.5, bad]})
     with pytest.raises(DomainError):
         CostSpec(control_coeff=0.0)
     with pytest.raises(DomainError):
@@ -229,8 +243,9 @@ def test_fhat_frozen_values():
     assert legendre_fhat(spec, 0.0, rho, x, np.array([3.0, 4.0]), 1.0) == pytest.approx(
         4.5, rel=1e-15
     )
-    with pytest.raises(DomainError):
-        legendre_fhat(spec, 0.0, rho, x, np.zeros(2), 0.0)
+    for ell in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            legendre_fhat(spec, 0.0, rho, x, np.zeros(2), ell)
     # The state part enters with a minus sign and no transform.
     tracked = CostSpec(tracking_coeff=1.0, target_x=np.zeros(2))
     shift = legendre_fhat(tracked, 0.0, rho, np.array([1.0, -1.0]), np.array([3.0, 4.0]), 1.0)

@@ -237,10 +237,12 @@ def test_step_splitting_rescues_a_tight_step():
 
 def test_config_validation():
     spec = pair_spec()
-    with pytest.raises(DomainError):
-        SdeConfig(energy=spec, t0=1.0, T=0.5)
-    with pytest.raises(DomainError):
-        SdeConfig(energy=spec, dt=0.0)
+    for times in ({"t0": 1.0, "T": 0.5}, {"T": np.inf}, {"t0": np.nan}, {"T": np.nan}):
+        with pytest.raises(DomainError):
+            SdeConfig(energy=spec, **times)
+    for dt in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            SdeConfig(energy=spec, dt=dt)
     with pytest.raises(DomainError):
         SdeConfig(energy=spec, boundary_floor=0.6)
     with pytest.raises(DomainError):

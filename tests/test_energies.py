@@ -20,7 +20,6 @@ from graphwhs.energies import (
     interaction_potential,
     kinetic_array,
     kinetic_energy,
-    sym_weight_matrix,
 )
 from graphwhs.graphs import (
     DensityState,
@@ -32,6 +31,10 @@ from graphwhs.graphs import (
     ProbabilityWeight,
     ShapeError,
     WEIGHT_KINDS,
+    EdgeField,
+    divergence,
+    graph_gradient,
+    rho_inner,
     weight_eval,
     weight_partial,
 )
@@ -126,8 +129,9 @@ def test_spec_guards():
         EnergySpec(graph=pair_graph(), interaction=np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ShapeError):
         EnergySpec(graph=pair_graph(), sigma=np.ones(3))
-    with pytest.raises(DomainError):
-        EnergySpec(graph=pair_graph(), fisher_coeff=-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            EnergySpec(graph=pair_graph(), fisher_coeff=bad)
     # Hyphenated variant names normalize.
     spec = EnergySpec(graph=pair_graph(), variant="Logarithmic-Entropy")
     assert spec.variant == LOGARITHMIC_ENTROPY
@@ -224,7 +228,9 @@ def test_array_core_broadcasts_over_batches():
 
 def test_sym_weight_matrix_is_exactly_symmetric():
     spec = EnergySpec(graph=path3(), weight=ProbabilityWeight("logarithmic"))
-    g = sym_weight_matrix(spec.graph, spec.weight, np.array([0.31, 0.17, 0.52]))
+    e = spec.graph.edge_list
+    rho = np.array([0.31, 0.17, 0.52])
+    g = weight_eval(spec.weight, rho[e.ii], rho[e.jj])
     # Ordered edges (0, 1), (1, 0), (1, 2), (2, 1): one value per orientation.
     assert g.shape == (4,)
     assert g[0] == g[1] and g[2] == g[3]
@@ -242,7 +248,7 @@ def dense_reference(spec, rho, x):
     the edge core, and numpy sums each row (and each whole matrix).
     """
     G = spec.graph
-    mask = G.edge_mask
+    mask = G.omega > 0.0
     om = G.omega
     g = weight_eval(spec.weight, rho[..., :, None], rho[..., None, :])
     g = np.triu(np.where(mask, g, 0.0), k=1)
@@ -327,10 +333,50 @@ def test_edge_core_matches_dense_reference(n, variant, kind):
     assert_matches(d_x, ref["d_x"], bitwise, "d_x")
     assert_matches(fisher_rho_partial(spec, rho), ref["barrier"], bitwise, "barrier")
     e = G.edge_list
-    assert_matches(sym_weight_matrix(G, spec.weight, rho), ref["g"][..., e.ii, e.jj], True, "g")
+    g = weight_eval(spec.weight, rho[..., e.ii], rho[..., e.jj])
+    assert_matches(g, ref["g"][..., e.ii, e.jj], True, "g")
     grads = energy_gradients(spec, DensityState(rho=rho[0]), MomentumState(s=x[0]))
     assert_matches(grads.hess_x, ref["hess"], bitwise, "hess")
     assert_matches(dominant_array(spec, rho, x), ref["h0"], n <= 2, "h0")
+
+
+def random_graph(rng, n):
+    """Random chords on top of a path through 0..n-1 (so connected), random weights."""
+    om = np.triu(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.5), k=1)
+    om[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 2.0, n - 1)
+    return Graph(n=n, omega=om + om.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 12])
+def test_edge_list_calculus_matches_dense_formulas(n):
+    """graph_gradient, divergence and rho_inner against the dense masked
+    (n, n) formulas they replaced.  The gradient is elementwise, so bitwise
+    at every n; the divergence is bitwise for n < 8 (numpy sums a dense row
+    of < 8 entries left to right, as ``vertex_sum`` does) and within 1e-12
+    of the row scale from n = 8; rho_inner sums the E edge terms at once,
+    against a pairwise n x n sum, and agrees within 1e-15 of the sum of the
+    terms' magnitudes (the sum itself can cancel)."""
+    rng = np.random.default_rng(300 + n)
+    for G in [mixed_graph(n)] + [random_graph(rng, n) for _ in range(20)]:
+        e = G.edge_list
+        assert np.array_equal(e.ii[e.rev], e.jj) and np.array_equal(e.jj[e.rev], e.ii)
+        assert not e.rev.flags.writeable
+        mask = G.omega > 0.0
+        sq = np.sqrt(G.omega)
+        for kind in WEIGHT_KINDS:
+            w = ProbabilityWeight(kind)
+            rho = DensityState(rho=rng.dirichlet(np.full(n, 2.0)) if n > 1 else np.ones(1))
+            g = np.where(mask, weight_eval(w, rho.rho[:, None], rho.rho[None, :]), 0.0)
+            phi = rng.normal(size=n)
+            grad = np.where(mask, sq * (phi[:, None] - phi[None, :]), 0.0)
+            assert_matches(graph_gradient(G, phi).values, grad[e.ii, e.jj], True, "grad")
+            raw = rng.normal(size=(2, n, n))
+            U, V = np.where(mask, raw - np.swapaxes(raw, 1, 2), 0.0)
+            u, v = EdgeField(U[e.ii, e.jj], G), EdgeField(V[e.ii, e.jj], G)
+            assert_matches(divergence(G, w, rho, v), (sq * V.T * g).sum(axis=1), n < 8, "div")
+            terms = U * V * g
+            gap = abs(rho_inner(G, w, rho, u, v) - 0.5 * float(terms.sum()))
+            assert gap <= 1e-15 * 0.5 * float(np.abs(terms).sum())
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
@@ -341,10 +387,10 @@ def test_zero_interaction_skips_its_matmul_bitwise(n):
     are zero) too, and H0 every bit of the sum with the einsum term."""
     rng = np.random.default_rng(n)
     G = mixed_graph(n)
-    off_edge = np.where(G.edge_mask, 0.0, 1.0)   # ignored entries only
+    off_edge = np.where(G.omega > 0.0, 0.0, 1.0)   # ignored entries only
     spec = EnergySpec(graph=G, interaction=off_edge, fisher_coeff=0.3)
     assert spec.zero_interaction
-    assert not EnergySpec(graph=G, interaction=np.where(G.edge_mask, 0.5, 0.0)).zero_interaction
+    assert not EnergySpec(graph=G, interaction=np.where(G.omega > 0.0, 0.5, 0.0)).zero_interaction
     rho = rng.dirichlet(np.ones(n), size=20)
     rho[:3] = 1.0 / n
     x = rng.normal(size=(20, n))

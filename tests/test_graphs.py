@@ -28,7 +28,6 @@ from graphwhs.graphs import (
     wasserstein_distance,
     wasserstein_path,
     weight_eval,
-    weight_matrix,
     weight_partial,
 )
 
@@ -58,6 +57,17 @@ def test_graph_rejects_self_loop_range_and_disconnection():
         Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(GraphError):
         Graph.from_edges(2, [(0, 1, -1.0)])
+    for edges in (
+        [(0, 1.0, 1.0)],                 # a float vertex index
+        [(0, True, 1.0)],
+        [(0, 1, 1.0), (1, 0, 2.0)],      # the same edge listed twice
+        [(0, 1, math.inf)],
+        [(0, 1, math.nan)],
+    ):
+        with pytest.raises(GraphError):
+            Graph.from_edges(2, edges)
+    with pytest.raises(GraphError, match="finite"):
+        Graph(n=2, omega=np.array([[0.0, math.nan], [math.nan, 0.0]]))
 
 
 def test_density_state_guards():
@@ -74,9 +84,12 @@ def test_density_state_guards():
 def test_edge_field_guards():
     G = triangle()
     with pytest.raises(ValueError):
-        EdgeField(values=np.ones((3, 3)), graph=G)  # not skew
-    v = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert EdgeField(values=v, graph=G).values[1, 0] == -1.0
+        EdgeField(values=np.ones(6), graph=G)  # not skew
+    with pytest.raises(ShapeError):
+        EdgeField(values=np.zeros((3, 3)), graph=G)
+    # Edge-list order (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1).
+    v = np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+    assert EdgeField(values=v, graph=G).values[2] == -1.0
 
 
 def test_invalid_weight_kind():
@@ -176,10 +189,12 @@ def test_log_mean_partial_matches_mpmath():
 
 def test_weight_matrix_is_edge_masked():
     G = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    M = weight_matrix(G, ProbabilityWeight(AVERAGE), np.array([0.2, 0.3, 0.5]))
-    assert M[0, 2] == 0.0 and M[2, 0] == 0.0
-    assert M[0, 1] == pytest.approx(0.25)
-    assert np.array_equal(M, M.T)
+    e = G.edge_list
+    rho = np.array([0.2, 0.3, 0.5])
+    g = weight_eval(ProbabilityWeight(AVERAGE), rho[e.ii], rho[e.jj])
+    assert list(zip(e.ii.tolist(), e.jj.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert g[0] == pytest.approx(0.25)
+    assert np.array_equal(g, g[e.rev])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +209,7 @@ def test_gradient_divergence_integration_by_parts():
     for _ in range(20):
         phi = rng.normal(size=3)
         raw = rng.normal(size=(3, 3))
-        ups = EdgeField(values=np.where(G.edge_mask, raw - raw.T, 0.0), graph=G)
+        ups = EdgeField(values=(raw - raw.T)[G.edge_list.ii, G.edge_list.jj], graph=G)
         lhs = rho_inner(G, w, rho, graph_gradient(G, phi), ups)
         rhs = float(phi @ divergence(G, w, rho, ups))
         assert lhs == pytest.approx(-rhs, abs=1e-12)
@@ -266,6 +281,12 @@ def ring_with_chords(n=8):
     return Graph.from_edges(n, edges + [(0, n // 2, 0.5), (n // 4, 3 * n // 4, 0.5)])
 
 
+def dense_weight_matrix(G, w, rho):
+    """g_ij(rho) on edges, zero elsewhere: the dense (n, n) weights the edge list replaced."""
+    g = weight_eval(w, rho[:, None], rho[None, :])
+    return np.where(G.omega > 0.0, g, 0.0)
+
+
 def reference_path(G, w, rho0, rho1, steps, iters, floor=1e-9):
     # Per-interval least-squares potentials on dense mobility Laplacians.
     n = G.n
@@ -274,7 +295,7 @@ def reference_path(G, w, rho0, rho1, steps, iters, floor=1e-9):
     path = (1.0 - tgrid)[:, None] * rho0 + tgrid[:, None] * rho1
 
     def dense_laplacian(mid):
-        A = G.omega * weight_matrix(G, w, mid)
+        A = G.omega * dense_weight_matrix(G, w, mid)
         return np.diag(A.sum(axis=1)) - A
 
     def action_and_potentials(p):
@@ -296,7 +317,7 @@ def reference_path(G, w, rho0, rho1, steps, iters, floor=1e-9):
             mid = 0.5 * (path[k] + path[k + 1])
             gt, _ = weight_partial(w, mid[:, None], mid[None, :])
             diff2 = (phis[k][:, None] - phis[k][None, :]) ** 2
-            dL = np.where(G.edge_mask, G.omega * diff2 * gt, 0.0).sum(axis=1)
+            dL = np.where(G.omega > 0.0, G.omega * diff2 * gt, 0.0).sum(axis=1)
             grad[k] += -2.0 * phis[k] - 0.5 * dt * dL
             grad[k + 1] += 2.0 * phis[k] - 0.5 * dt * dL
         grad[0] = grad[-1] = 0.0
@@ -374,6 +395,6 @@ def test_transport_line_search_rejects_trials_below_the_floor(kind):
     a = np.r_[1e-4, np.full(7, (1.0 - 1e-4) / 7)]
     b = np.r_[0.6, np.full(7, 0.4 / 7)]
     res = wasserstein_path(G, ProbabilityWeight(kind), DensityState(rho=a),
-                           DensityState(rho=b), steps=8, iters=30, floor=1e-9)
+                           DensityState(rho=b), steps=8, iters=30)
     assert res.converged
     assert res.path[1:-1].min() > 1e-9

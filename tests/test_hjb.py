@@ -64,8 +64,9 @@ def tracking_cost() -> CostSpec:
 # ---------------------------------------------------------------------------
 
 def test_truncation_guards():
-    with pytest.raises(DomainError):
-        TruncationFn(R=0.9)
+    for R in (0.9, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            TruncationFn(R=R)
     with pytest.raises(DomainError):
         TruncationFn(R=2.0, beta=0.0)
     with pytest.raises(DomainError):
@@ -248,7 +249,7 @@ def test_solver_guards():
     coarse = SimplexGrid.build(energy, 1.0, 0.25, shape=(9, 9, 9, 4))
     with pytest.raises(CflError, match="monotonicity"):
         hjb_solve_backward(coarse, CostSpec(), energy, 1.0)
-    for ell in (0.0, -1.0):
+    for ell in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(DomainError, match="ell must be positive"):
             SimplexGrid.build(energy, ell, 0.25, shape=(9, 9, 9, 16))
         with pytest.raises(DomainError, match="ell must be positive"):
