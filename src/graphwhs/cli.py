@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from importlib.resources import files as resource_files
 from pathlib import Path
@@ -136,6 +136,10 @@ class ExperimentConfig:
             raise DomainError(f"unknown solver keys {sorted(unknown)}")
         ssec.update(given)
         t0, T = ssec["t0"], ssec["T"]
+        # The horizon is checked before the control class is laid out on it.
+        sde = SdeConfig(
+            energy=energy, t0=t0, T=T, dt=ssec["dt"], boundary_floor=ssec["boundary_floor"],
+        )
 
         usec = dict(raw.get("control", {}))
         ell = float(usec.pop("ell", 1.0))
@@ -148,11 +152,9 @@ class ExperimentConfig:
         for klass in (control_class, {"ell": ell}):
             _read_class(klass, t0, T)
         if constant is not None:
-            constant = ControlSignal.constant(_vector(constant, n, "control.constant"), t0, T, ell)
-        sde = SdeConfig(
-            energy=energy, t0=t0, T=T, dt=ssec["dt"], control=constant,
-            boundary_floor=ssec["boundary_floor"],
-        )
+            sde = replace(sde, control=ControlSignal.constant(
+                _vector(constant, n, "control.constant"), t0, T, ell
+            ))
 
         st = raw.get("state", {})
         rho0 = DensityState(rho=_vector(st.get("rho", np.full(n, 1.0 / n)), n, "state.rho"))

@@ -27,7 +27,9 @@ anything with ``value_at(t)``: a ``ControlSignal`` of (m, n) values is
 shared by every row, one of (rows, m, n) values gives each row its own
 signal.  A reducer chooses what a run keeps: ``_FullPath`` (every node, the
 layout of ``batch_arrays``), a running-cost sum (``control``), or only the
-final state.
+final state.  A run may also start at a later grid node ``k0`` from the row
+state an earlier run recorded there (its ``marks``), which is how the
+control search skips the prefix that its trials share.
 
 Per-step cost: a step of R rows makes two drift evaluations, O(R |E|)
 elementwise work, in a fixed number of numpy calls.  At the few hundred rows
@@ -345,6 +347,9 @@ def run_rows(
     noise: Noise,
     streams: Array,
     reducer=None,
+    k0: int = 0,
+    at_k0: tuple | None = None,
+    marks=None,
 ):
     """Advance the rows of (rho, s) over cfg's time grid in lockstep.
 
@@ -355,19 +360,45 @@ def run_rows(
     at every grid node and whose ``result()`` returns row-major arrays;
     without one only the final state is kept.  Returns (rho_T, s_T, alive,
     escape_time, *reducer results).
+
+    Prefix reuse: the rows may start at grid node ``k0`` instead, from the
+    state an earlier run had there: (rho, s) and ``at_k0 = (alive,
+    escape_time, carry)``, where ``carry`` is the reducer's running state
+    (its ``carry()``, restored by its ``resume``).  Noise columns and bridge
+    slots keep their global step index, so a row whose control agrees with
+    the earlier run's on every (sub)step before node k0 continues bitwise as
+    a run from node 0 would.  With ``marks``, a list of nodes k >= k0, the
+    run also returns, as one more item, the list of that state (rho, s,
+    alive, escape_time, carry) at each mark in the order given, taken before
+    ``record(k)``; a node listed twice gives the same state twice.
     """
     steps, last_dt, times = _time_grid(cfg)
     rows = rho.shape[0]
     control_at = cfg.control_value
     keep = None if reducer is None else reducer(cfg, times, rows)
     noise_rows = streams - noise.first_stream
-    alive = np.ones(rows, dtype=bool)
-    escape_time = np.full(rows, np.nan)
+    if at_k0 is None:
+        alive = np.ones(rows, dtype=bool)
+        escape_time = np.full(rows, np.nan)
+    else:
+        alive, escape_time, carry = at_k0
+        alive, escape_time = alive.copy(), escape_time.copy()
+        if keep is not None:
+            keep.resume(carry)
+    wanted = set(marks or ())
+    states = {}
 
-    V = control_at(float(times[0]))
+    def mark(k):
+        # The steps rebind rho and s to new arrays, so these stay as they are.
+        carry = None if keep is None else keep.carry()
+        states[k] = (rho, s, alive.copy(), escape_time.copy(), carry)
+
+    V = control_at(float(times[k0]))
+    if k0 in wanted:
+        mark(k0)
     if keep is not None:
-        keep.record(0, rho, s, V)
-    for k in range(steps):
+        keep.record(k0, rho, s, V)
+    for k in range(k0, steps):
         t = float(times[k])
         dt_k = last_dt if k == steps - 1 else cfg.dt
         dw = noise.incs[:, k].take(noise_rows, axis=0)
@@ -395,9 +426,13 @@ def run_rows(
             rho = np.where(alive[:, None], new_rho, rho)
             s = np.where(alive[:, None], new_s, s)
         V = control_at(float(times[k + 1]))
+        if k + 1 in wanted:
+            mark(k + 1)
         if keep is not None:
             keep.record(k + 1, rho, s, V)
     extra = () if keep is None else keep.result()
+    if marks is not None:
+        extra = (*extra, [states[k] for k in marks])
     return (rho, s, alive, escape_time, *extra)
 
 

@@ -255,9 +255,3 @@ def gradient_arrays(spec: EnergySpec, rho: Array, x: Array):
         d_rho = d_rho - np.log(rho)
     return d_rho, d_x
 
-
-def fisher_rho_partial(spec: EnergySpec, rho: Array) -> Array:
-    """d I / d rho alone (used by barrier diagnostics)."""
-    _check_positive(rho)
-    e = spec.graph.edge_list
-    return e.vertex_sum(_barrier_terms(e, rho[..., e.ii], rho[..., e.jj]))

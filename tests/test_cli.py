@@ -221,6 +221,26 @@ def test_bad_values_fail_at_load_for_every_subcommand(tmp_path, capsys, section,
     assert not out.exists()
 
 
+def test_infinite_horizon_exits_2_before_any_numpy_warning(tmp_path):
+    # The horizon is checked before the control class is laid out on it, so
+    # numpy never multiplies by inf.  Run in a fresh process: its stderr
+    # shows what a user sees, with the default warning filters.
+    out = tmp_path / "out"
+    doc = base_config(out)
+    doc["solver"]["T"] = float("inf")
+    path = write_config(tmp_path, doc)
+    code = f"import sys, graphwhs.cli; sys.exit(graphwhs.cli.main(['cost', '--config', {path!r}]))"
+    src = str(Path(graphwhs.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 2
+    assert "need 0 <= t0 < T < inf" in run.stderr
+    assert "RuntimeWarning" not in run.stderr
+    assert not out.exists()
+
+
 def test_cfl_failure_leaves_no_artifacts(tmp_path):
     out = tmp_path / "cfl_out"
     doc = base_config(out)

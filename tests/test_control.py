@@ -16,10 +16,10 @@ from graphwhs.control import (
     CostSpec,
     ValueEstimate,
     bellman_gap,
-    control_hamiltonian_integrand,
     cost_functional,
     hamiltonian,
     legendre_fhat,
+    _drift_pairing,
     _read_class,
     _value_search,
     running_cost,
@@ -323,6 +323,22 @@ def ball_lattice(ell: float, per_axis: int = 81, ring: int = 720):
     return np.vstack([pts, boundary])
 
 
+def control_hamiltonian_integrand(cost: CostSpec, energy: EnergySpec, t, rho, x, p, q, Q, V):
+    """The pre-infimum functional at one control value (brute-force oracle hook).
+
+    hamiltonian is its infimum over the control ball: the drift pairing,
+    minus <q, V>, plus the running cost F(t, rho, x, V).
+    """
+    rho_arr = np.asarray(getattr(rho, "rho", rho), dtype=float)
+    x_arr = np.asarray(getattr(x, "s", x), dtype=float)
+    V = np.asarray(V, dtype=float)
+    return (
+        _drift_pairing(energy, rho_arr, x_arr, p, q, Q)
+        - float(np.asarray(q) @ V)
+        + float(running_cost(cost, t, rho_arr, x_arr, V))
+    )
+
+
 @pytest.mark.parametrize("q", [np.array([0.4, -0.3]), np.array([3.0, 4.0])])
 def test_hamiltonian_is_ball_infimum(q):
     cost = CostSpec(control_coeff=0.5, tracking_coeff=0.3, target_x=np.zeros(2))
@@ -565,6 +581,173 @@ def test_lockstep_lattice_equals_per_node_searches(energy):
     # Some nodes stop early and others run into the budget, so the lockstep
     # run has to keep each node's own control flow.
     assert len({(est.trace["evals"], est.trace["flagged"]) for est in together}) > 1
+
+
+# ---------------------------------------------------------------------------
+# speculative golden-section rounds and prefix reuse
+# ---------------------------------------------------------------------------
+
+class Scored:
+    """A synthetic estimate of the trial v that notes every read of its mean."""
+
+    def __init__(self, v, mean, reads):
+        self.v = v
+        self._mean = mean
+        self._reads = reads
+
+    @property
+    def mean(self):
+        self._reads.append(self.v)
+        return self._mean
+
+
+def drive(search, score):
+    """Run a coroutine search on ``score``; returns (its rounds of trials, its result)."""
+    rounds = []
+    trials = next(search)
+    while True:
+        rounds.append(trials)
+        try:
+            trials = search.send([score(v) for v in trials])
+        except StopIteration as done:
+            return rounds, done.value
+
+
+GOLDEN_OBJECTIVES = {
+    "bowl": lambda v: (v - 0.3) ** 2,
+    "even": lambda v: v * v,  # c = -d: the first comparison is an exact tie
+    "flat": lambda v: 1.0,  # every comparison ties
+    "stairs": lambda v: float(math.floor(3.0 * v)),  # ties on each plateau
+    "wiggly": lambda v: math.sin(37.0 * v) + 0.1 * v,
+}
+
+
+@pytest.mark.parametrize("iters", [0, 1, 2, 3, 14])
+@pytest.mark.parametrize("name", sorted(GOLDEN_OBJECTIVES))
+def test_speculative_golden_min_takes_the_plain_path(name, iters):
+    f = GOLDEN_OBJECTIVES[name]
+    plain_reads, spec_reads = [], []
+    plain_rounds, (x, est) = drive(
+        control._golden_min(lambda v: v, -1.0, 1.0, iters),
+        lambda v: Scored(v, f(v), plain_reads),
+    )
+    spec_rounds, (x_spec, est_spec) = drive(
+        control._golden_min(lambda v: v, -1.0, 1.0, iters, speculate=True),
+        lambda v: Scored(v, f(v), spec_reads),
+    )
+    path = [v for trials in plain_rounds for v in trials]
+    assert len(path) == iters + 2
+    assert x_spec == x and est_spec.v == est.v == x
+    # The path's trials come in the plain order, two iterations a round,
+    # and only their estimates are read.
+    everything = iter([v for trials in spec_rounds for v in trials])
+    assert all(v in everything for v in path)
+    assert len(spec_rounds) == 1 + iters // 2
+    assert set(spec_reads) == set(plain_reads) == set(path)
+
+
+@pytest.mark.parametrize("iters", [3, 14])
+def test_only_a_taken_trial_that_lost_every_path_raises(iters):
+    f = GOLDEN_OBJECTIVES["wiggly"]
+
+    def score(dead=()):
+        return lambda v: EscapeQuotaError(4, 4) if v in dead else control._Estimate(f(v), 0.0, 4)
+
+    def search(speculate):
+        return control._golden_min(lambda v: v, -1.0, 1.0, iters, speculate)
+
+    plain_rounds, plain = drive(search(False), score())
+    path = [v for trials in plain_rounds for v in trials]
+    spec_rounds, _ = drive(search(True), score())
+    discarded = {v for trials in spec_rounds for v in trials} - set(path)
+    assert len(discarded) == (iters + 1) // 2
+    assert drive(search(True), score(discarded))[1] == plain
+    for taken in (path[0], path[3], path[-1]):
+        for speculate in (False, True):
+            with pytest.raises(EscapeQuotaError):
+                drive(search(speculate), score({taken}))
+
+
+@pytest.mark.parametrize(
+    "breakpoints",
+    [[0.0, 0.035, 0.06, 0.09], [0.0, 0.031, 0.035, 0.06, 0.09]],
+    ids=["one_per_step", "two_in_one_step"],
+)
+def test_prefix_reuse_equals_full_recomputation_in_the_search(monkeypatch, breakpoints):
+    # Trials that move only piece j >= 1 start at breakpoint j's node from
+    # the incumbent's state there.  Each such run, and the states it marks
+    # at later breakpoints, must equal the same trials run from t0 bitwise,
+    # through rescues and escapes after k0.  Breakpoints 0.031 and 0.035
+    # lie off the grid, both at node 3 (0.03); 0.06 lies on it (node 6).
+    cfg = SdeConfig(
+        energy=EnergySpec(graph=pair_graph(), sigma=np.array([1.0, 1.0])), T=0.09, dt=1e-2
+    )
+    rho = DensityState(rho=np.array([0.05, 0.95]))
+    x = MomentumState(s=np.array([-0.8, 0.9]))
+    m = len(breakpoints) - 1
+    engine = control.run_rows
+    advance = dynamics._advance_one
+    rescues, resumed = [], []
+
+    def counted(*args):
+        out = advance(*args)
+        if args[-2] == 0:  # a whole step that was halved and kept its path alive
+            rescues.append(args[8])
+        return out
+
+    def checked(cfg, rho_k, s_k, noise, streams, reducer=None, k0=0, at_k0=None, marks=None):
+        rescues.clear()
+        got = engine(cfg, rho_k, s_k, noise, streams, reducer, k0, at_k0, marks)
+        if k0 > 0:
+            late_rescue = max(rescues, default=-1) >= k0
+            rows = streams.size
+            full = engine(
+                cfg, np.tile(rho.rho, (rows, 1)), np.tile(x.s, (rows, 1)), noise, streams,
+                reducer, 0, None, marks,
+            )
+            for a, b in zip(got[:-1], full[:-1]):
+                assert a.tobytes() == b.tobytes()
+            assert len(got[-1]) == len(full[-1]) == len(marks)
+            for state, full_state in zip(got[-1], full[-1]):
+                for a, b in zip(state, full_state):
+                    assert a.tobytes() == b.tobytes()
+            j = m - len(marks)  # the first piece the batch moves
+            resumed.append((j, k0, late_rescue, (at_k0[0] & ~got[2]).any()))
+        return got
+
+    monkeypatch.setattr(dynamics, "_advance_one", counted)
+    monkeypatch.setattr(control, "run_rows", checked)
+    klass = {"ell": 1.0, "breakpoints": breakpoints, "golden_iters": 2, "sweeps": 2}
+    value_function_mc(benchmarkish_cost(), cfg, 0.0, rho, x, klass, 12, 4)
+    assert dynamics._time_grid(cfg)[2][6] == 0.06
+    nodes = {0.031: 3, 0.035: 3, 0.06: 6}
+    assert {(j, k0) for j, k0, _, _ in resumed} == {
+        (j, nodes[b]) for j, b in enumerate(breakpoints[1:-1], start=1)
+    }
+    assert any(late for _, _, late, _ in resumed)
+    assert any(escaped for _, _, _, escaped in resumed)
+
+
+def test_lockstep_step_counts_are_pinned(monkeypatch):
+    # Sequential lockstep steps are what speculative rounds and prefix
+    # reuse cut; the counts are deterministic, so losing either fails here.
+    # Without them these runs made 420 and 1,070 steps, of 10,000 and 32,400 rows.
+    sizes = []
+    step = dynamics.midpoint_step
+
+    def counted(energy, floor, rho, *args):
+        sizes.append(rho.shape[0])
+        return step(energy, floor, rho, *args)
+
+    monkeypatch.setattr(dynamics, "midpoint_step", counted)
+    cost, cfg, t, t_bar, rho, x, _, _, seed = small_gap_inputs()
+    klass = {"ell": 1.0, "m": 2, "golden_iters": 4, "sweeps": 1}
+    value_function_mc(cost, cfg, t, rho, x, klass, 20, seed)
+    assert (len(sizes), sum(sizes)) == (200, 10_000)
+    sizes.clear()
+    bellman_gap(cost, cfg, t, t_bar, rho, x, klass, 20, seed, inner_paths=10,
+                lattice_shape=(2, 2, 2))
+    assert (len(sizes), sum(sizes)) == (570, 40_400)
 
 
 def benchmarkish_cost() -> CostSpec:

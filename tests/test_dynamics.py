@@ -525,3 +525,57 @@ def test_shared_signal_equals_its_per_row_repetition(monkeypatch):
         assert np.nanmin(escape_time) < cfg.T - 2 * cfg.dt
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bp", [0.03, 0.035])
+def test_run_rows_resumed_at_a_breakpoint_equals_the_full_run(monkeypatch, bp):
+    # Controls A and B agree before bp.  A run of B that starts at bp's node
+    # from the state A's run had there equals B's full run bitwise: final
+    # states, escapes and the running cost, through rescues and escapes
+    # after that node.  The node is the last one at or before bp; off the
+    # grid (0.035), a rescue's half steps in the step holding bp may already
+    # see B's second piece.
+    rescues = []
+    advance = dynamics._advance_one
+
+    def counted(*args):
+        out = advance(*args)
+        if args[-2] == 0:  # a whole step that was halved and kept its path alive
+            rescues.append(args[8])
+        return out
+
+    monkeypatch.setattr(dynamics, "_advance_one", counted)
+    cfg = SdeConfig(energy=pair_spec(sigma=1.0), T=0.1, dt=1e-2)
+    paths = 12
+    rho = np.repeat([[0.03, 0.97], [0.05, 0.95]], paths, axis=0)
+    s = np.repeat([[-1.0, 1.0], [-0.8, 0.9]], paths, axis=0)
+    noise = draw_noise(cfg, 4, paths)
+    streams = np.tile(np.arange(paths), 2)
+    first = [0.6, -0.2]
+    a = ControlSignal([0.0, bp, 0.1], [first, [-0.3, 0.5]], ell=1.0)
+    b = ControlSignal([0.0, bp, 0.1], [first, [0.4, -0.7]], ell=1.0)
+    k0 = int(np.searchsorted(dynamics._time_grid(cfg)[2], bp, side="right")) - 1
+    assert k0 == 3
+    cost = control.CostSpec(
+        family=control.BOUNDED_TRACKING, target_rho=[0.5, 0.5], target_x=[0.0, 0.0]
+    )
+    reducer = partial(control._RunningCost, cost)
+    *_, (mark,) = run_rows(replace(cfg, control=a), rho, s, noise, streams, reducer, marks=[k0])
+    rescues.clear()
+    got = run_rows(replace(cfg, control=b), mark[0], mark[1], noise, streams, reducer, k0, mark[2:])
+    assert rescues and min(rescues) >= k0
+    ref = run_rows(replace(cfg, control=b), rho, s, noise, streams, reducer)
+    assert (mark[2] & ~ref[2]).any()  # a path alive at k0 escapes later
+    assert 0 < ref[2].sum() < ref[2].size
+    for x, y in zip(got, ref):
+        assert x.tobytes() == y.tobytes()
+    if bp > 0.03:
+        # Resumed one node later, past bp, the run misses the piece-1 control
+        # that a rescue's half steps in step k0 used in B's full run.
+        *_, (late,) = run_rows(
+            replace(cfg, control=a), rho, s, noise, streams, reducer, marks=[k0 + 1]
+        )
+        wrong = run_rows(
+            replace(cfg, control=b), late[0], late[1], noise, streams, reducer, k0 + 1, late[2:]
+        )
+        assert any(x.tobytes() != y.tobytes() for x, y in zip(wrong, ref))

@@ -15,11 +15,12 @@ from graphwhs.energies import (
     entropy,
     fisher_array,
     fisher_information,
-    fisher_rho_partial,
     gradient_arrays,
     interaction_potential,
     kinetic_array,
     kinetic_energy,
+    _barrier_terms,
+    _check_positive,
 )
 from graphwhs.graphs import (
     DensityState,
@@ -194,6 +195,13 @@ def test_hessian_is_weighted_laplacian():
         fd = (gradient_arrays(spec, rho.rho, x.s + e)[1]
               - gradient_arrays(spec, rho.rho, x.s - e)[1]) / (2 * h)
         assert np.allclose(H[i], fd, atol=1e-9)
+
+
+def fisher_rho_partial(spec: EnergySpec, rho):
+    """d I / d rho alone."""
+    _check_positive(rho)
+    e = spec.graph.edge_list
+    return e.vertex_sum(_barrier_terms(e, rho[..., e.ii], rho[..., e.jj]))
 
 
 def test_fisher_partial_matches_finite_differences():
