@@ -42,14 +42,13 @@ escaped.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .energies import EnergySpec, dominant_array, gradient_arrays
+from .energies import EnergySpec, _gradient, dominant_array, gradient_arrays
 from .graphs import Array, DensityState, DomainError, MomentumState, ShapeError, fold_columns
 from .rng import RngStream, batch_increments
 
@@ -138,14 +137,17 @@ class Trajectory:
 
 
 def _write_csv(path, header: list[str], table: Array) -> None:
-    """A header row, then one row per row of the float table.
+    r"""A header line, then one ``\r\n``-terminated line per row of the float table.
 
-    The csv module writes a float as its repr, so every value round-trips.
+    Every value is written as its ``repr``, so ``float(field)`` gives back the
+    exact double (``nan``, ``inf`` and ``-0.0`` included).  These are the bytes
+    ``csv.writer``'s default dialect writes: its quoting never fires, since no
+    ``repr(float)`` and no header of this library holds ``,``, ``"``, ``\r`` or
+    ``\n``.  The rows are streamed, so no string of the whole file is built.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(table.tolist())
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
 
 
 def drift_field(energy: EnergySpec, V, rho: DensityState, x: MomentumState):
@@ -157,8 +159,8 @@ def drift_field(energy: EnergySpec, V, rho: DensityState, x: MomentumState):
 # stepping core (batched; scalar paths are 1-row batches)
 # ---------------------------------------------------------------------------
 
-def _drift_arrays(energy: EnergySpec, V, rho: Array, x: Array):
-    d_rho, d_x = gradient_arrays(energy, rho, x)
+def _drift_arrays(energy: EnergySpec, V, rho: Array, x: Array, *, checked: bool = True):
+    d_rho, d_x = (gradient_arrays if checked else _gradient)(energy, rho, x)
     s_drift = -d_rho
     if V is not None:
         s_drift = s_drift - V
@@ -175,7 +177,8 @@ def midpoint_step(energy: EnergySpec, floor: float, rho: Array, s: Array, V, dt:
     sm = s + 0.5 * dt * f1s
     bad = fold_columns(np.minimum, rm) <= floor
     # Clamping only touches rows already flagged; their results are discarded.
-    f2r, f2s = _drift_arrays(energy, V, np.maximum(rm, floor), sm)
+    # Clamped to a positive floor, the densities cannot fail the positivity check.
+    f2r, f2s = _drift_arrays(energy, V, np.maximum(rm, floor), sm, checked=not floor > 0.0)
     new_rho = rho + dt * f2r
     new_s = s + dt * f2s - energy.sigma * dw
     bad = bad | (fold_columns(np.minimum, new_rho) <= floor)
@@ -541,6 +544,7 @@ class RegularityScan:
     moments: Array      # E sup_{r <= t0+Delta} |H0V(r) - H0V(t0)|^2 per horizon
     slope: float | None
     degenerate: bool
+    escaped: int        # paths that left the interior; the moments average the rest
 
 
 def regularity_scan(
@@ -551,7 +555,12 @@ def regularity_scan(
     n_paths: int,
     master_seed: int = 0,
 ) -> RegularityScan:
-    """Log-log slope of the second-moment modulus of H0V over short horizons."""
+    """Log-log slope of the second-moment modulus of H0V over short horizons.
+
+    Escaped paths are left out of the moments; EscapeQuotaError if none is left.
+    """
+    if n_paths < 1:
+        raise DomainError("need at least one path")
     horizons = np.sort(np.asarray(horizons, dtype=float))[::-1]
     if horizons.size < 4:
         raise DomainError("need at least four horizons")
@@ -561,6 +570,9 @@ def regularity_scan(
     times, _, _, _, h0v, _, alive, _ = batch_arrays(
         replace(cfg, T=cfg.t0 + span), rho0, x0, n_paths, master_seed
     )
+    escaped = int((~alive).sum())
+    if escaped == n_paths:
+        raise EscapeQuotaError(escaped, n_paths)  # no path left to average
     h0v = h0v[alive]
     dev2 = (h0v - h0v[:, :1]) ** 2
     run_sup = np.maximum.accumulate(dev2, axis=1)
@@ -573,5 +585,6 @@ def regularity_scan(
     if not degenerate and np.all(moments > 0.0):
         slope = float(np.polyfit(np.log(horizons), np.log(moments), 1)[0])
     return RegularityScan(
-        horizons=horizons, moments=moments, slope=slope, degenerate=degenerate
+        horizons=horizons, moments=moments, slope=slope, degenerate=degenerate,
+        escaped=escaped,
     )

@@ -237,6 +237,12 @@ def _barrier_terms(e: EdgeList, ri: Array, rj: Array) -> Array:
 def gradient_arrays(spec: EnergySpec, rho: Array, x: Array):
     """(dH0/drho, dH0/dx) for raw state arrays of shape (..., n)."""
     _check_positive(rho)
+    return _gradient(spec, rho, x)
+
+
+def _gradient(spec: EnergySpec, rho: Array, x: Array):
+    # gradient_arrays without the positivity check, for callers whose rho is
+    # positive by construction.
     e = spec.graph.edge_list
     ri = rho[..., e.ii]
     rj = rho[..., e.jj]

@@ -405,3 +405,17 @@ def test_import_skips_scipy_interpolate_and_integrate():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_skips_csv():
+    """The CSV artifacts are written without the csv module."""
+    code = (
+        "import sys, graphwhs, graphwhs.cli, graphwhs.checks; "
+        "print(sorted(m for m in sys.modules if m in ('csv', '_csv')))"
+    )
+    src = str(Path(graphwhs.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

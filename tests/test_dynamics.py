@@ -1,4 +1,6 @@
 import csv
+import math
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -323,6 +325,28 @@ def test_trajectory_csv_bytes_match_row_writer(tmp_path, n):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+# Each value in every column, rolled so that each row mixes them; csv.writer
+# quotes none of these reprs.
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-05, 2.0,
+                  1.7976931348623157e308]
+
+
+def test_trajectory_csv_special_values_match_row_writer(tmp_path):
+    n = 2
+    table = np.column_stack([np.roll(SPECIAL_FLOATS, c) for c in range(2 * n + 3)])
+    traj = Trajectory(table[:, 0], table[:, 1:3], table[:, 3:5], table[:, 5], table[:, 6],
+                      np.zeros((table.shape[0] - 1, n)), 0, 0)
+    traj.to_csv(tmp_path / "a.csv")
+    reference_trajectory_csv(traj, tmp_path / "b.csv")
+    got = (tmp_path / "a.csv").read_bytes()
+    assert got == (tmp_path / "b.csv").read_bytes()
+    lines = got.decode().split("\r\n")
+    assert lines[-1] == "" and len(lines) == table.shape[0] + 2
+    back = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
+    # Bit patterns, so -0.0 and nan compare too.
+    assert np.array_equal(back.view(np.int64), table.view(np.int64))
+
+
 def test_regularity_scan_slope_and_degenerate_flag():
     cfg = SdeConfig(energy=pair_spec(sigma=0.2), T=0.1, dt=2.5e-4)
     rho0, x0 = start()
@@ -340,6 +364,28 @@ def test_regularity_scan_slope_and_degenerate_flag():
         horizons, n_paths=4, master_seed=1,
     )
     assert flat.degenerate and flat.slope is None
+
+
+def test_regularity_scan_escapes():
+    # sigma = 5 near the boundary: some paths escape from S0 = (0, 0), every
+    # path from S0 = (-3, 3), and with no path left the scan raises rather
+    # than average an empty set.
+    cfg = SdeConfig(energy=pair_spec(sigma=5.0), T=0.1, dt=0.01,
+                    boundary_floor=1e-3, max_rejects=0)
+    rho0 = DensityState(rho=np.array([0.002, 0.998]))
+    horizons = [0.08, 0.04, 0.02, 0.01]
+    alive = batch_arrays(replace(cfg, T=0.08), rho0, MomentumState(s=np.zeros(2)), 30, 0)[6]
+    some = regularity_scan(cfg, rho0, MomentumState(s=np.zeros(2)), horizons, n_paths=30)
+    assert some.escaped == int((~alive).sum()) > 0
+    assert np.isfinite(some.moments).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EscapeQuotaError) as info:
+            regularity_scan(cfg, rho0, MomentumState(s=np.array([-3.0, 3.0])), horizons,
+                            n_paths=30)
+    assert (info.value.escaped, info.value.total) == (30, 30)
+    with pytest.raises(DomainError):
+        regularity_scan(cfg, rho0, MomentumState(s=np.zeros(2)), horizons, n_paths=0)
 
 
 def test_regularity_scan_input_guards():
@@ -366,6 +412,17 @@ def reference_midpoint_step(energy, floor, rho, s, V, dt, dw):
     new_s = s + dt * f2s - energy.sigma * dw
     bad = bad | (new_rho.min(axis=-1) <= floor)
     return new_rho, new_s, bad
+
+
+def test_midpoint_step_checks_the_midpoint_without_a_positive_floor():
+    # The clamp skips the second positivity check only when it makes the
+    # densities positive.
+    rho = np.array([[1e-4, 1.0 - 1e-4]])
+    s = np.array([[-3.0, 3.0]])
+    with pytest.raises(DomainError):
+        midpoint_step(pair_spec(), 0.0, rho, s, None, 0.01, np.zeros((1, 2)))
+    *_, bad = midpoint_step(pair_spec(), 1e-9, rho, s, None, 0.01, np.zeros((1, 2)))
+    assert bad[0]
 
 
 def reference_run_rows(cfg, rho, s, noise, streams, reducer=None):

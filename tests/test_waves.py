@@ -352,3 +352,16 @@ def test_wave_csv_bytes_match_row_writer(tmp_path, n):
     wave_csv(traj, tmp_path / "a.csv")
     reference_wave_csv(traj, tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_full_size_trajectory_and_wave_csv_match_row_writers(tmp_path):
+    # A 2,001-row path on the 8-vertex ring with chords, as the benchmark writes.
+    from test_dynamics import reference_trajectory_csv
+
+    _, traj = ring_trajectory(sigma=0.2, T=2.0)
+    assert traj.times.size == 2001
+    for write, reference in ((Trajectory.to_csv, reference_trajectory_csv),
+                             (wave_csv, reference_wave_csv)):
+        write(traj, tmp_path / "a.csv")
+        reference(traj, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
