@@ -140,6 +140,7 @@ class ExperimentConfig:
         sde = SdeConfig(
             energy=energy, t0=t0, T=T, dt=ssec["dt"], boundary_floor=ssec["boundary_floor"],
         )
+        _check_solver(ssec)
 
         usec = dict(raw.get("control", {}))
         ell = float(usec.pop("ell", 1.0))
@@ -196,6 +197,48 @@ class ExperimentConfig:
             X=float(s["X"]), rho_margin=float(s["rho_margin"]), t0=s["t0"],
         )
         return hjb_solve_backward(grid, self.cost, energy, self.ell)
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _count(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _check_solver(s: dict) -> None:
+    """Refuse a solver value out of its range, whichever subcommand would use it.
+
+    t0, T, dt and boundary_floor are ``SdeConfig``'s, already checked.  The
+    ranges of t_bar and path_steps are ``bellman_gap``'s and
+    ``wasserstein_path``'s; X and rho_margin keep the grid's axes increasing
+    and its densities interior.  NaN fails every comparison, so it is refused.
+    """
+    t_bar, shape, theta = s["t_bar"], s["grid_shape"], s["theta"]
+    rules = {
+        "t_bar": (t_bar is None or _number(t_bar) and s["t0"] < t_bar <= s["T"],
+                  "null or a number in (t0, T]"),
+        "grid_shape": (isinstance(shape, (list, tuple)) and len(shape) == 4
+                       and all(_count(v, 2) for v in shape), "four ints >= 2"),
+        "X": (_number(s["X"]) and 0.0 < s["X"] < np.inf, "a positive finite number"),
+        "rho_margin": (_number(s["rho_margin"]) and 0.0 < s["rho_margin"] < 0.5,
+                       "a number in (0, 1/2)"),
+        "n_paths": (_count(s["n_paths"], 1), "an int >= 1"),
+        "inner_paths": (s["inner_paths"] is None or _count(s["inner_paths"], 1),
+                        "null or an int >= 1"),
+        "budget": (_number(s["budget"]) and s["budget"] >= 1.0, "a number >= 1"),
+        "theta": (isinstance(theta, (list, tuple)) and len(theta) > 0
+                  and all(_number(v) and 0.0 < v < np.inf for v in theta),
+                  "a nonempty list of positive finite numbers"),
+        "path_steps": (_count(s["path_steps"], 8), "an int >= 8"),
+        "path_iters": (_count(s["path_iters"], 0), "an int >= 0"),
+        "escape_quota": (_number(s["escape_quota"]) and 0.0 <= s["escape_quota"] <= 1.0,
+                         "a number in [0, 1]"),
+    }
+    for key, (ok, allowed) in rules.items():
+        if not ok:
+            raise DomainError(f"solver.{key} must be {allowed}")
 
 
 def _vector(value, n: int, name: str) -> np.ndarray:
@@ -292,7 +335,7 @@ def _experiment(compute):
 def simulate(cfg):
     """Integrate an ensemble of coupled density/momentum paths."""
     trajs = simulate_batch(
-        cfg.sde, cfg.rho0, cfg.x0, int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.sde, cfg.rho0, cfg.x0, cfg.solver["n_paths"], cfg.seed,
         escape_quota=cfg.solver["escape_quota"],
     )
 
@@ -307,7 +350,7 @@ def simulate(cfg):
 def transform(cfg):
     """Simulate, map each path to wave coordinates, and report residuals."""
     trajs = simulate_batch(
-        cfg.sde, cfg.rho0, cfg.x0, int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.sde, cfg.rho0, cfg.x0, cfg.solver["n_paths"], cfg.seed,
         escape_quota=cfg.solver["escape_quota"],
     )
     control = cfg.sde.control
@@ -348,8 +391,8 @@ def wdist(cfg):
         energy.weight,
         cfg.rho0,
         cfg.rho_target,
-        steps=int(cfg.solver["path_steps"]),
-        iters=int(cfg.solver["path_iters"]),
+        steps=cfg.solver["path_steps"],
+        iters=cfg.solver["path_iters"],
     )
 
     def writer(d: Path):
@@ -375,7 +418,7 @@ def cost(cfg):
     """Expected cost of the configured (constant) control."""
     est = cost_functional(
         cfg.cost, cfg.sde, cfg.solver["t0"], cfg.rho0, cfg.x0, cfg.sde.control,
-        int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.solver["n_paths"], cfg.seed,
     )
     return lambda d: _dump(d / "cost.json", est.to_dict())
 
@@ -385,7 +428,7 @@ def value(cfg):
     """Monte Carlo value-function upper approximation at the start state."""
     est = value_function_mc(
         cfg.cost, cfg.sde, cfg.solver["t0"], cfg.rho0, cfg.x0,
-        cfg.control_class, int(cfg.solver["n_paths"]), cfg.seed,
+        cfg.control_class, cfg.solver["n_paths"], cfg.seed,
         budget=float(cfg.solver["budget"]),
     )
     return lambda d: _dump(d / "value.json", est.to_dict())
@@ -394,11 +437,10 @@ def value(cfg):
 @_experiment
 def bellman(cfg):
     """Dynamic-programming gap diagnostic at the configured split time."""
-    inner = cfg.solver["inner_paths"]
     gap, se, detail = bellman_gap(
         cfg.cost, cfg.sde, cfg.solver["t0"], cfg.t_bar(),
-        cfg.rho0, cfg.x0, cfg.control_class, int(cfg.solver["n_paths"]), cfg.seed,
-        inner_paths=None if inner is None else int(inner),
+        cfg.rho0, cfg.x0, cfg.control_class, cfg.solver["n_paths"], cfg.seed,
+        inner_paths=cfg.solver["inner_paths"],
         return_detail=True,
     )
     payload = {"gap": gap, "std_error": se, "within_3_se": bool(gap <= 3.0 * se),

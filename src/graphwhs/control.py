@@ -48,12 +48,12 @@ All estimators run on the lockstep engine of ``dynamics.run_rows``:
   round.  A trial that moves only piece j >= 1 starts at breakpoint j's grid
   node from the incumbent's row state there (prefix reuse: ``run_rows``'s
   ``k0``); the incumbent's ``_Estimate`` keeps that state.
-* A reducer decides what a run keeps.  ``_RunningCost`` sums the
-  left-rectangle running cost inside the step loop and stores no paths;
-  the terminal functional (``terminal_cost``, or the lattice interpolant
-  in the middle search) is applied to the surviving final states.  The
-  probes keep final states only.  A run whose every path escaped raises
-  ``EscapeQuotaError``.
+* ``run_rows`` yields every grid node and each caller keeps what it needs.
+  ``_cost_estimates`` sums the left-rectangle running cost as the nodes
+  arrive and stores no paths; the terminal functional (``terminal_cost``,
+  or the lattice interpolant in the middle search) is applied to the
+  surviving final states.  The probes keep the last node only.  A run
+  whose every path escaped raises ``EscapeQuotaError``.
 """
 
 from __future__ import annotations
@@ -224,44 +224,9 @@ class _Estimate(NamedTuple):
     mean: float
     std_error: float
     n_paths: int
-    # The run's row state at the nodes of breakpoints 1..m-1 (``run_rows``
-    # marks), from which the runs of trials that change a later piece start.
+    # The run's row state at the nodes of breakpoints 1..m-1, from which
+    # the runs of trials that change a later piece start.
     marks: tuple = ()
-
-
-class _RunningCost:
-    """Reducer of ``run_rows``: the left-rectangle running cost, summed in the step loop.
-
-    cfg.control is a ``ControlSignal``.  V is constant on each of its pieces,
-    so the control term c ||V||^2 is computed once per piece and handed to
-    ``running_cost``.
-    """
-
-    def __init__(self, cost: CostSpec, cfg: SdeConfig, times: Array, rows: int):
-        signal = cfg.control
-        self.cost = cost
-        self.control_terms = cost.control_coeff * _row_sum(signal.values**2)
-        self.steps = [
-            (t, dt_k, piece_index(signal.breakpoints, t))
-            for t, dt_k in zip(times[:-1].tolist(), np.diff(times).tolist())
-        ]
-        self.total = np.zeros(rows)
-
-    def record(self, k: int, rho: Array, s: Array, V: Array) -> None:
-        if k < len(self.steps):
-            t, dt_k, piece = self.steps[k]
-            self.total += dt_k * running_cost(
-                self.cost, t, rho, s, V, self.control_terms[..., piece]
-            )
-
-    def carry(self) -> Array:
-        return self.total.copy()
-
-    def resume(self, total: Array) -> None:
-        self.total = total.copy()
-
-    def result(self) -> tuple:
-        return (self.total,)
 
 
 def _fresh(rho: Array, s: Array, paths: int) -> tuple:
@@ -312,19 +277,36 @@ def _cost_estimates(
 
     Run i starts at grid node k0 from starts[i], the row state (rho, s,
     alive, escape_time, running cost) of its paths there (``_fresh`` at node
-    0), follows cfg.control (shared, or its rows of block i) and replays
-    every path of the noise draw (common random numbers).  ``terminal(rho,
-    s)`` scores the surviving final states.  Each estimate keeps its run's
-    row state at the nodes ``marks``.  A run whose every path escaped gets
-    its EscapeQuotaError in place of an estimate (see ``_taken``).
+    0), follows cfg.control, a ``ControlSignal`` (shared, or its rows of
+    block i), and replays every path of the noise draw (common random
+    numbers).  The left-rectangle running cost is summed over the nodes
+    ``run_rows`` yields; V is constant on each piece, so the control term
+    c ||V||^2 is computed once per piece.  ``terminal(rho, s)`` scores the
+    surviving final states.  Each estimate keeps its run's row state at the
+    nodes ``marks``, taken before that node's step cost.  A run whose every
+    path escaped gets its EscapeQuotaError in place of an estimate (see
+    ``_taken``).
     """
     paths = noise.incs.shape[0]
     rho, s, alive, escape_time, total = (np.concatenate(part) for part in zip(*starts))
     streams = np.tile(noise.first_stream + np.arange(paths), len(starts))
-    rho_T, s_T, alive, _, total, states = run_rows(
-        cfg, rho, s, noise, streams, partial(_RunningCost, cost), k0,
-        (alive, escape_time, total), list(marks),
-    )
+    signal = cfg.control
+    control_terms = cost.control_coeff * _row_sum(signal.values**2)
+    times = _time_grid(cfg)[2]
+    steps = [
+        (t, dt_k, piece_index(signal.breakpoints, t))
+        for t, dt_k in zip(times[:-1].tolist(), np.diff(times).tolist())
+    ]
+    saved = {}
+    nodes = run_rows(cfg, rho, s, noise, streams, k0, alive, escape_time)
+    for k, rho, s, V, alive, escape_time in nodes:
+        if k in marks:
+            # The run rebinds rho and s, so these stay as they are.
+            saved[k] = (rho, s, alive.copy(), escape_time.copy(), total.copy())
+        if k < len(steps):
+            t, dt_k, piece = steps[k]
+            total += dt_k * running_cost(cost, t, rho, s, V, control_terms[..., piece])
+    states = [saved[k] for k in marks]
     out = []
     for lo in range(0, alive.size, paths):
         rows = slice(lo, lo + paths)
@@ -333,10 +315,9 @@ def _cost_estimates(
             out.append(EscapeQuotaError(paths, paths))
             continue
         costs = total[rows][keep]
-        costs += terminal(rho_T[rows][keep], s_T[rows][keep])
+        costs += terminal(rho[rows][keep], s[rows][keep])
         se = float(costs.std(ddof=1) / math.sqrt(costs.size)) if costs.size > 1 else 0.0
-        # Views: run_rows rebinds, never writes to, the arrays of a state.
-        # A search copies the marks of the estimates it keeps (_kept).
+        # Views: a search copies the marks of the estimates it keeps (_kept).
         kept = tuple(tuple(a[rows] for a in state) for state in states)
         out.append(_Estimate(float(costs.mean()), se, int(costs.size), kept))
     return out
@@ -708,13 +689,14 @@ def bellman_gap(
     corner = klass.ell / math.sqrt(n)
     probes = np.array([[0.0] * n, [corner] * n, [-corner] * n])
     probe_values = np.repeat(probes[:, None], probe_paths, axis=0)
-    rho_T, s_T, alive, _ = run_rows(
+    for _, rho_T, s_T, _, alive, _ in run_rows(
         replace(seg_cfg, control=ControlSignal([t, t_bar], probe_values, klass.ell)),
         np.tile(rho.rho, (3 * probe_paths, 1)),
         np.tile(x.s, (3 * probe_paths, 1)),
         seg_noise,
         np.tile(np.arange(probe_paths), 3),
-    )
+    ):
+        pass  # only the last node is kept
     if not alive.reshape(3, probe_paths).any(axis=1).all():
         raise EscapeQuotaError(probe_paths, probe_paths)  # a probe lost every path
     cloud = np.stack([rho_T[alive, 0], s_T[alive, 0], s_T[alive, 1]], axis=1)

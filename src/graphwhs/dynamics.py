@@ -21,15 +21,14 @@ Everything here is deterministic given (config, master seed): paths own
 pre-assigned noise streams and batches advance paths in lockstep with
 per-element arithmetic.
 
-``run_rows`` is the one stepping loop.  Its rows may start from different
-states and replay the same noise draw.  Their control is ``cfg.control``,
-anything with ``value_at(t)``: a ``ControlSignal`` of (m, n) values is
-shared by every row, one of (rows, m, n) values gives each row its own
-signal.  A reducer chooses what a run keeps: ``_FullPath`` (every node, the
-layout of ``batch_arrays``), a running-cost sum (``control``), or only the
-final state.  A run may also start at a later grid node ``k0`` from the row
-state an earlier run recorded there (its ``marks``), which is how the
-control search skips the prefix that its trials share.
+``run_rows`` is the one stepping loop: a generator that yields the rows'
+state at every grid node (a ``Node``), so each caller keeps what it needs.
+Its rows may start from different states and replay the same noise draw.
+Their control is ``cfg.control``, anything with ``value_at(t)``: a
+``ControlSignal`` of (m, n) values is shared by every row, one of (rows, m,
+n) values gives each row its own signal.  A run may also start at a later
+grid node ``k0`` from the row state an earlier run yielded there, which is
+how the control search skips the prefix that its trials share.
 
 Per-step cost: a step of R rows makes two drift evaluations, O(R |E|)
 elementwise work, in a fixed number of numpy calls.  At the few hundred rows
@@ -248,7 +247,7 @@ def _time_grid(cfg: SdeConfig):
 
 
 # ---------------------------------------------------------------------------
-# the lockstep engine: shared noise, per-row starts and controls, reducers
+# the lockstep engine: shared noise, per-row starts and controls
 # ---------------------------------------------------------------------------
 
 class Noise(NamedTuple):
@@ -310,31 +309,6 @@ class ControlSignal:
         return self.values[..., piece_index(self.breakpoints, t), :]
 
 
-class _FullPath:
-    """Reducer that keeps every node: the path arrays of ``batch_arrays``.
-
-    H0V adds ``rho @ V``, so the control must be shared by all rows.
-    """
-
-    def __init__(self, cfg: SdeConfig, times: Array, rows: int):
-        n = cfg.energy.graph.n
-        self.energy = cfg.energy
-        self.rho = np.empty((rows, times.size, n))
-        self.s = np.empty((rows, times.size, n))
-        self.h0 = np.empty((rows, times.size))
-        self.h0v = np.empty((rows, times.size))
-
-    def record(self, k: int, rho: Array, s: Array, V) -> None:
-        self.rho[:, k] = rho
-        self.s[:, k] = s
-        h0 = dominant_array(self.energy, rho, s)
-        self.h0[:, k] = h0
-        self.h0v[:, k] = h0 if V is None else h0 + rho @ V
-
-    def result(self) -> tuple:
-        return self.rho, self.s, self.h0, self.h0v
-
-
 def _row_control(control_at, p: int):
     def at(t):
         V = control_at(t)
@@ -343,64 +317,53 @@ def _row_control(control_at, p: int):
     return at
 
 
+class Node(NamedTuple):
+    """The rows' state at grid node k, as ``run_rows`` yields it.
+
+    The run rebinds, never writes to, ``rho`` and ``s``, so a caller may keep
+    them.  ``alive`` and ``escape_time`` are updated in place as rows escape:
+    copy them to keep a node's values.
+    """
+
+    k: int
+    rho: Array
+    s: Array
+    V: Array | None    # cfg.control's value at the node
+    alive: Array
+    escape_time: Array
+
+
 def run_rows(
     cfg: SdeConfig,
     rho: Array,
     s: Array,
     noise: Noise,
     streams: Array,
-    reducer=None,
     k0: int = 0,
-    at_k0: tuple | None = None,
-    marks=None,
+    alive: Array | None = None,
+    escape_time: Array | None = None,
 ):
-    """Advance the rows of (rho, s) over cfg's time grid in lockstep.
+    """Advance the rows of (rho, s) over cfg's time grid in lockstep, yielding every node.
 
     Row r starts at (rho[r], s[r]) and is driven by stream ``streams[r]`` of
     the noise draw, so many runs (candidate controls, start states) replay
-    one draw; their control is ``cfg.control``.  ``reducer(cfg, times, rows)``
-    builds an object whose ``record(k, rho, s, V)`` sees the state and control
-    at every grid node and whose ``result()`` returns row-major arrays;
-    without one only the final state is kept.  Returns (rho_T, s_T, alive,
-    escape_time, *reducer results).
+    one draw; their control is ``cfg.control``.  The generator yields a
+    ``Node`` at every grid node from ``k0`` to the last, the start included.
 
-    Prefix reuse: the rows may start at grid node ``k0`` instead, from the
-    state an earlier run had there: (rho, s) and ``at_k0 = (alive,
-    escape_time, carry)``, where ``carry`` is the reducer's running state
-    (its ``carry()``, restored by its ``resume``).  Noise columns and bridge
-    slots keep their global step index, so a row whose control agrees with
-    the earlier run's on every (sub)step before node k0 continues bitwise as
-    a run from node 0 would.  With ``marks``, a list of nodes k >= k0, the
-    run also returns, as one more item, the list of that state (rho, s,
-    alive, escape_time, carry) at each mark in the order given, taken before
-    ``record(k)``; a node listed twice gives the same state twice.
+    Prefix reuse: the rows may start at grid node ``k0`` from the state
+    (rho, s, alive, escape_time) an earlier run yielded there.  Noise
+    columns and bridge slots keep their global step index, so a row whose
+    control agrees with the earlier run's on every (sub)step before node k0
+    continues bitwise as a run from node 0 would.
     """
     steps, last_dt, times = _time_grid(cfg)
     rows = rho.shape[0]
     control_at = cfg.control_value
-    keep = None if reducer is None else reducer(cfg, times, rows)
     noise_rows = streams - noise.first_stream
-    if at_k0 is None:
-        alive = np.ones(rows, dtype=bool)
-        escape_time = np.full(rows, np.nan)
-    else:
-        alive, escape_time, carry = at_k0
-        alive, escape_time = alive.copy(), escape_time.copy()
-        if keep is not None:
-            keep.resume(carry)
-    wanted = set(marks or ())
-    states = {}
-
-    def mark(k):
-        # The steps rebind rho and s to new arrays, so these stay as they are.
-        carry = None if keep is None else keep.carry()
-        states[k] = (rho, s, alive.copy(), escape_time.copy(), carry)
-
+    alive = np.ones(rows, dtype=bool) if alive is None else alive.copy()
+    escape_time = np.full(rows, np.nan) if escape_time is None else escape_time.copy()
     V = control_at(float(times[k0]))
-    if k0 in wanted:
-        mark(k0)
-    if keep is not None:
-        keep.record(k0, rho, s, V)
+    yield Node(k0, rho, s, V, alive, escape_time)
     for k in range(k0, steps):
         t = float(times[k])
         dt_k = last_dt if k == steps - 1 else cfg.dt
@@ -429,14 +392,7 @@ def run_rows(
             rho = np.where(alive[:, None], new_rho, rho)
             s = np.where(alive[:, None], new_s, s)
         V = control_at(float(times[k + 1]))
-        if k + 1 in wanted:
-            mark(k + 1)
-        if keep is not None:
-            keep.record(k + 1, rho, s, V)
-    extra = () if keep is None else keep.result()
-    if marks is not None:
-        extra = (*extra, [states[k] for k in marks])
-    return (rho, s, alive, escape_time, *extra)
+        yield Node(k + 1, rho, s, V, alive, escape_time)
 
 
 def batch_arrays(
@@ -450,36 +406,40 @@ def batch_arrays(
 ):
     """Raw ensemble arrays (times, rho, s, h0, h0v, increments, alive, escape_time).
 
-    The full-path reducer of ``run_rows`` over streams
-    first_stream..first_stream+n_paths-1; the moment scans and trajectory
-    builders work on these arrays directly.
+    Every node of ``run_rows`` over streams first_stream..first_stream+n_paths-1;
+    the moment scans and trajectory builders work on these arrays directly.
+    H0V adds ``rho @ V``, so the control must be shared by all rows.
     """
     noise = draw_noise(cfg, master_seed, n_paths, first_stream)
+    times = _time_grid(cfg)[2]
+    n = cfg.energy.graph.n
+    rho_out = np.empty((n_paths, times.size, n))
+    s_out = np.empty((n_paths, times.size, n))
+    h0 = np.empty((n_paths, times.size))
+    h0v = np.empty((n_paths, times.size))
     rho = np.tile(rho0.rho, (n_paths, 1))
     s = np.tile(x0.s, (n_paths, 1))
     streams = first_stream + np.arange(n_paths)
-    _, _, alive, escape_time, rho_out, s_out, h0, h0v = run_rows(
-        cfg, rho, s, noise, streams, _FullPath
-    )
-    times = _time_grid(cfg)[2]
+    for k, rho, s, V, alive, escape_time in run_rows(cfg, rho, s, noise, streams):
+        rho_out[:, k] = rho
+        s_out[:, k] = s
+        e = dominant_array(cfg.energy, rho, s)
+        h0[:, k] = e
+        h0v[:, k] = e if V is None else e + rho @ V
     return times, rho_out, s_out, h0, h0v, noise.incs, alive, escape_time
+
+
+def _trajectory(raw: tuple, p: int, seed: int, path_index: int) -> Trajectory:
+    """Row p of ``batch_arrays``' output as a Trajectory."""
+    times, rho, s, h0, h0v, incs = raw[:6]
+    return Trajectory(times, rho[p], s[p], h0[p], h0v[p], incs[p], seed, path_index)
 
 
 def simulate(cfg: SdeConfig, rho0: DensityState, x0: MomentumState, rng: RngStream) -> Trajectory:
     """Integrate one path on [t0, T] driven by the given stream."""
-    times, rho_out, s_out, h0, h0v, incs, alive, escape_time = batch_arrays(
-        cfg, rho0, x0, 1, rng.master_seed, first_stream=rng.stream_id
-    )
-    traj = Trajectory(
-        times=times,
-        rho_path=rho_out[0],
-        s_path=s_out[0],
-        h0_path=h0[0],
-        h0v_path=h0v[0],
-        dw_path=incs[0],
-        seed=rng.master_seed,
-        path_index=rng.stream_id,
-    )
+    raw = batch_arrays(cfg, rho0, x0, 1, rng.master_seed, first_stream=rng.stream_id)
+    traj = _trajectory(raw, 0, rng.master_seed, rng.stream_id)
+    alive, escape_time = raw[6:]
     if not alive[0]:
         raise BoundaryEscapeError(float(escape_time[0]), rng.stream_id, trajectory=traj)
     return traj
@@ -511,27 +471,11 @@ def simulate_batch(
     if n_paths < 1:
         raise DomainError("need at least one path")
     raw = batch_arrays(cfg, rho0, x0, n_paths, master_seed)
-    times, rho_out, s_out, h0, h0v, incs, alive, escape_time = raw
+    alive = raw[6]
     escaped = int((~alive).sum())
     if escaped > escape_quota * n_paths:
         raise EscapeQuotaError(escaped, n_paths)
-    out = []
-    for p in range(n_paths):
-        if not alive[p]:
-            continue
-        out.append(
-            Trajectory(
-                times=times,
-                rho_path=rho_out[p],
-                s_path=s_out[p],
-                h0_path=h0[p],
-                h0v_path=h0v[p],
-                dw_path=incs[p],
-                seed=master_seed,
-                path_index=p,
-            )
-        )
-    return out
+    return [_trajectory(raw, p, master_seed, p) for p in range(n_paths) if alive[p]]
 
 
 # ---------------------------------------------------------------------------

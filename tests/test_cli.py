@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import graphwhs
-from graphwhs.cli import ExperimentConfig, main
+from graphwhs.cli import _SOLVER_DEFAULTS, ExperimentConfig, main
 
 
 def base_config(out_dir, **overrides) -> dict:
@@ -202,8 +202,26 @@ EXPERIMENTS = ["simulate", "transform", "wdist", "cost", "value", "bellman", "hj
     ("state", "rho", [0.3, 0.6], ["hjb"]),
     ("control", "class", {"m": 0}, ["simulate", "cost"]),
     ("solver", "dt", float("inf"), ["cost", "simulate", "hjb"]),
+    ("solver", "escape_quota", -1.0, EXPERIMENTS),
+    ("solver", "escape_quota", float("nan"), EXPERIMENTS),
+    ("solver", "n_paths", 2.7, EXPERIMENTS),
+    ("solver", "n_paths", True, EXPERIMENTS),
+    ("solver", "inner_paths", 0, EXPERIMENTS),
+    ("solver", "budget", -5, EXPERIMENTS),
+    ("solver", "grid_shape", [1, 1], EXPERIMENTS),
+    ("solver", "grid_shape", [9, 9, 1, 16], EXPERIMENTS),
+    ("solver", "theta", [-1], EXPERIMENTS),
+    ("solver", "path_steps", 2, EXPERIMENTS),
+    ("solver", "path_iters", -1, EXPERIMENTS),
+    ("solver", "t_bar", 7.0, EXPERIMENTS),
+    ("solver", "t_bar", 0.0, EXPERIMENTS),
+    ("solver", "X", -1, EXPERIMENTS),
+    ("solver", "rho_margin", 0.5, EXPERIMENTS),
 ], ids=["ell_negative", "ell_negative_under_class_ell", "rho_off_simplex", "zero_pieces",
-        "dt_infinite"])
+        "dt_infinite", "escape_quota_negative", "escape_quota_nan", "n_paths_fraction",
+        "n_paths_bool", "inner_paths_zero", "budget_negative", "grid_shape_two_axes",
+        "grid_shape_one_point", "theta_negative", "path_steps_2", "path_iters_negative",
+        "t_bar_past_T", "t_bar_at_t0", "X_negative", "rho_margin_half"])
 def test_bad_values_fail_at_load_for_every_subcommand(tmp_path, capsys, section, key, bad,
                                                       commands):
     """A bad value exits 2 and writes nothing, even where the subcommand
@@ -219,6 +237,18 @@ def test_bad_values_fail_at_load_for_every_subcommand(tmp_path, capsys, section,
         assert main([command, "--config", path]) == 2, command
         assert "invalid configuration" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_readme_solver_table_lists_every_key_and_default():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8").splitlines()
+    start = lines.index("| solver key | meaning | default | allowed |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        key, _, default, _ = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        table[key] = default
+    assert table == {key: json.dumps(value) for key, value in _SOLVER_DEFAULTS.items()}
 
 
 def test_infinite_horizon_exits_2_before_any_numpy_warning(tmp_path):

@@ -34,6 +34,7 @@ from graphwhs.graphs import (
     MomentumState,
     ShapeError,
 )
+from test_dynamics import assert_same_estimates
 
 
 def pair_graph():
@@ -675,17 +676,18 @@ def test_only_a_taken_trial_that_lost_every_path_raises(iters):
 )
 def test_prefix_reuse_equals_full_recomputation_in_the_search(monkeypatch, breakpoints):
     # Trials that move only piece j >= 1 start at breakpoint j's node from
-    # the incumbent's state there.  Each such run, and the states it marks
-    # at later breakpoints, must equal the same trials run from t0 bitwise,
-    # through rescues and escapes after k0.  Breakpoints 0.031 and 0.035
-    # lie off the grid, both at node 3 (0.03); 0.06 lies on it (node 6).
+    # the incumbent's state there.  Each such run (its estimates, final
+    # states and running costs) and the states it marks at later breakpoints
+    # must equal the same trials run from t0 bitwise, through rescues and
+    # escapes after k0.  Breakpoints 0.031 and 0.035 lie off the grid, both
+    # at node 3 (0.03); 0.06 lies on it (node 6).
     cfg = SdeConfig(
         energy=EnergySpec(graph=pair_graph(), sigma=np.array([1.0, 1.0])), T=0.09, dt=1e-2
     )
     rho = DensityState(rho=np.array([0.05, 0.95]))
     x = MomentumState(s=np.array([-0.8, 0.9]))
     m = len(breakpoints) - 1
-    engine = control.run_rows
+    estimates = control._cost_estimates
     advance = dynamics._advance_one
     rescues, resumed = [], []
 
@@ -695,28 +697,31 @@ def test_prefix_reuse_equals_full_recomputation_in_the_search(monkeypatch, break
             rescues.append(args[8])
         return out
 
-    def checked(cfg, rho_k, s_k, noise, streams, reducer=None, k0=0, at_k0=None, marks=None):
+    def checked(cost, cfg, starts, noise, terminal, k0=0, marks=()):
+        if k0 == 0:
+            return estimates(cost, cfg, starts, noise, terminal, k0, marks)
+        # The last node is marked too, so the final states and running
+        # costs are compared with the full run's.
+        last = dynamics._time_grid(cfg)[0]
         rescues.clear()
-        got = engine(cfg, rho_k, s_k, noise, streams, reducer, k0, at_k0, marks)
-        if k0 > 0:
-            late_rescue = max(rescues, default=-1) >= k0
-            rows = streams.size
-            full = engine(
-                cfg, np.tile(rho.rho, (rows, 1)), np.tile(x.s, (rows, 1)), noise, streams,
-                reducer, 0, None, marks,
-            )
-            for a, b in zip(got[:-1], full[:-1]):
-                assert a.tobytes() == b.tobytes()
-            assert len(got[-1]) == len(full[-1]) == len(marks)
-            for state, full_state in zip(got[-1], full[-1]):
-                for a, b in zip(state, full_state):
-                    assert a.tobytes() == b.tobytes()
-            j = m - len(marks)  # the first piece the batch moves
-            resumed.append((j, k0, late_rescue, (at_k0[0] & ~got[2]).any()))
-        return got
+        got = estimates(cost, cfg, starts, noise, terminal, k0, [*marks, last])
+        late_rescue = max(rescues, default=-1) >= k0
+        fresh = [control._fresh(rho.rho, x.s, noise.incs.shape[0])] * len(starts)
+        full = estimates(cost, cfg, fresh, noise, terminal, 0, [*marks, last])
+        assert_same_estimates(got, full)
+        # A run whose every path escaped has an EscapeQuotaError, no marks.
+        kept = [isinstance(est, control._Estimate) for est in got]
+        alive_k0 = np.concatenate([start[2] for start in starts])
+        alive_T = np.concatenate([
+            est.marks[-1][2] if ok else np.zeros_like(start[2])
+            for start, est, ok in zip(starts, got, kept)
+        ])
+        j = m - len(marks)  # the first piece the batch moves
+        resumed.append((j, k0, late_rescue, (alive_k0 & ~alive_T).any()))
+        return [est._replace(marks=est.marks[:-1]) if ok else est for est, ok in zip(got, kept)]
 
     monkeypatch.setattr(dynamics, "_advance_one", counted)
-    monkeypatch.setattr(control, "run_rows", checked)
+    monkeypatch.setattr(control, "_cost_estimates", checked)
     klass = {"ell": 1.0, "breakpoints": breakpoints, "golden_iters": 2, "sweeps": 2}
     value_function_mc(benchmarkish_cost(), cfg, 0.0, rho, x, klass, 12, 4)
     assert dynamics._time_grid(cfg)[2][6] == 0.06

@@ -1,8 +1,8 @@
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -78,6 +78,13 @@ def test_batch_rows_equal_single_paths():
         assert np.array_equal(traj.s_path, single.s_path)
 
 
+def final_node(nodes):
+    """The last node a run yields."""
+    for node in nodes:
+        pass
+    return node
+
+
 def test_lockstep_rows_rescue_with_their_own_control_and_stream():
     # Two runs near the boundary share one noise draw in one batch; strong
     # noise forces step halvings and escapes in both.  Each run must match
@@ -91,9 +98,9 @@ def test_lockstep_rows_rescue_with_their_own_control_and_stream():
     s = np.repeat([x for _, x in starts], paths, axis=0)
     rows = ControlSignal([0.0, 0.1], np.repeat(controls[:, None], paths, axis=0), ell=1.0)
     noise = draw_noise(cfg, 4, paths)
-    rho_T, s_T, alive, escape_time = run_rows(
+    _, rho_T, s_T, _, alive, escape_time = final_node(run_rows(
         replace(cfg, control=rows), rho, s, noise, np.tile(np.arange(paths), 2)
-    )
+    ))
     for b, (r, x) in enumerate(starts):
         own = SdeConfig(energy=cfg.energy, T=0.1, dt=1e-2, control=ConstControl(controls[b]))
         rho0, x0 = DensityState(rho=np.array(r)), MomentumState(s=np.array(x))
@@ -425,19 +432,17 @@ def test_midpoint_step_checks_the_midpoint_without_a_positive_floor():
     assert bad[0]
 
 
-def reference_run_rows(cfg, rho, s, noise, streams, reducer=None):
+def reference_run_rows(cfg, rho, s, noise, streams):
     """``run_rows`` as it was: a 2-D fancy-index noise gather and both states
-    re-masked with ``np.where`` on every step."""
+    re-masked with ``np.where`` on every step; yields every node."""
     steps, last_dt, times = dynamics._time_grid(cfg)
     rows = rho.shape[0]
     control_at = cfg.control_value
-    keep = None if reducer is None else reducer(cfg, times, rows)
     noise_rows = streams - noise.first_stream
     alive = np.ones(rows, dtype=bool)
     escape_time = np.full(rows, np.nan)
     V = control_at(float(times[0]))
-    if keep is not None:
-        keep.record(0, rho, s, V)
+    yield dynamics.Node(0, rho, s, V, alive, escape_time)
     for k in range(steps):
         t = float(times[k])
         dt_k = last_dt if k == steps - 1 else cfg.dt
@@ -460,10 +465,39 @@ def reference_run_rows(cfg, rho, s, noise, streams, reducer=None):
         rho = np.where(alive[:, None], new_rho, rho)
         s = np.where(alive[:, None], new_s, s)
         V = control_at(float(times[k + 1]))
-        if keep is not None:
-            keep.record(k + 1, rho, s, V)
-    extra = () if keep is None else keep.result()
-    return (rho, s, alive, escape_time, *extra)
+        yield dynamics.Node(k + 1, rho, s, V, alive, escape_time)
+
+
+def assert_same_nodes(got, ref, fields=dynamics.Node._fields):
+    """Two runs yield bitwise the same nodes, compared as they come (``alive``
+    and ``escape_time`` change in place); returns the last of ``ref``."""
+    for a, b in itertools.zip_longest(got, ref):
+        assert a is not None and b is not None, "the runs yield different numbers of nodes"
+        for name in fields:
+            x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+            assert x.tobytes() == y.tobytes(), (b.k, name)
+    return b
+
+
+def costs_to_the_end(cost, cfg, starts, noise, k0=0):
+    """``control._cost_estimates`` of runs from ``starts`` at node k0, each
+    keeping its final row state (running cost included) as its one mark."""
+    steps = dynamics._time_grid(cfg)[0]
+    return control._cost_estimates(cost, cfg, starts, noise, cost.terminal_cost, k0, [steps])
+
+
+def assert_same_estimates(got, ref):
+    """Bitwise equal estimates: mean, standard error, path count and marked states."""
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert type(a) is type(b)
+        if isinstance(b, EscapeQuotaError):
+            continue
+        assert a[:3] == b[:3]
+        assert len(a.marks) == len(b.marks)
+        for state, ref_state in zip(a.marks, b.marks):
+            for x, y in zip(state, ref_state, strict=True):
+                assert x.tobytes() == y.tobytes()
 
 
 def ring_spec(n):
@@ -515,40 +549,75 @@ def test_midpoint_step_matches_reference_bitwise(n, control):
                 assert a.tobytes() == b.tobytes()
 
 
-def test_run_rows_matches_reference_with_mid_run_escapes():
-    # Rows that escape part-way leave the engine on its np.where branch for
-    # the remaining steps; shared and per-row controls, full paths and final
-    # states all match the loop that re-masked on every step.
+def escape_setting():
+    """Two starts near the boundary, 12 paths each, under strong noise on a
+    shared constant control: rescues and escapes part-way through the run."""
     cfg = SdeConfig(energy=pair_spec(sigma=1.0), T=0.1, dt=1e-2,
                     control=ConstControl([0.6, -0.2]))
     paths = 12
     rho = np.repeat([[0.03, 0.97], [0.05, 0.95]], paths, axis=0)
     s = np.repeat([[-1.0, 1.0], [-0.8, 0.9]], paths, axis=0)
-    noise = draw_noise(cfg, 4, paths)
-    streams = np.tile(np.arange(paths), 2)
-    got = run_rows(cfg, rho, s, noise, streams, dynamics._FullPath)
-    ref = reference_run_rows(cfg, rho, s, noise, streams, dynamics._FullPath)
-    alive, escape_time = ref[2], ref[3]
-    assert 0 < alive.sum() < alive.size
-    assert np.nanmin(escape_time) < cfg.T - 2 * cfg.dt
-    for a, b in zip(got, ref):
-        assert a.tobytes() == b.tobytes()
+    return cfg, rho, s, draw_noise(cfg, 4, paths), np.tile(np.arange(paths), 2)
+
+
+def test_run_rows_matches_reference_with_mid_run_escapes():
+    # Rows that escape part-way leave the engine on its np.where branch for
+    # the remaining steps; shared and per-row controls give, at every node,
+    # the states, escapes and controls of the loop that re-masked on every step.
+    cfg, rho, s, noise, streams = escape_setting()
+    last = assert_same_nodes(
+        run_rows(cfg, rho, s, noise, streams), reference_run_rows(cfg, rho, s, noise, streams)
+    )
+    assert 0 < last.alive.sum() < last.alive.size
+    assert np.nanmin(last.escape_time) < cfg.T - 2 * cfg.dt
 
     per_row = replace(cfg, control=ControlSignal(
-        [0.0, 0.05, 0.1], np.random.default_rng(3).uniform(-0.5, 0.5, size=(2 * paths, 2, 2)),
+        [0.0, 0.05, 0.1], np.random.default_rng(3).uniform(-0.5, 0.5, size=(rho.shape[0], 2, 2)),
         ell=1.0,
     ))
-    got = run_rows(per_row, rho, s, noise, streams)
-    ref = reference_run_rows(per_row, rho, s, noise, streams)
-    assert 0 < ref[2].sum() < ref[2].size
-    for a, b in zip(got, ref):
-        assert a.tobytes() == b.tobytes()
+    last = assert_same_nodes(
+        run_rows(per_row, rho, s, noise, streams),
+        reference_run_rows(per_row, rho, s, noise, streams),
+    )
+    assert 0 < last.alive.sum() < last.alive.size
+
+
+@pytest.mark.parametrize("k0", [0, 3])
+def test_run_rows_never_writes_a_yielded_state(k0):
+    # _cost_estimates keeps the rho and s of a node without copying them,
+    # as the start of later runs: nothing may write to them after the yield,
+    # through rescues (which write rows of a new state) and escapes.
+    cfg, rho, s, noise, streams = escape_setting()
+    steps = dynamics._time_grid(cfg)[0]
+    alive = escape_time = None
+    if k0:
+        start = next(node for node in run_rows(cfg, rho, s, noise, streams) if node.k == k0)
+        rho, s = start.rho, start.s
+        alive, escape_time = start.alive.copy(), start.escape_time.copy()
+        given = (alive.copy(), escape_time.copy())
+    kept = [
+        (node, node.rho.copy(), node.s.copy())
+        for node in run_rows(cfg, rho, s, noise, streams, k0, alive, escape_time)
+    ]
+    assert [node.k for node, _, _ in kept] == list(range(k0, steps + 1))
+    for node, rho_k, s_k in kept:
+        assert node.rho.tobytes() == rho_k.tobytes()
+        assert node.s.tobytes() == s_k.tobytes()
+    last = kept[-1][0]
+    assert kept[0][0].rho is rho and kept[0][0].s is s
+    assert 0 < last.alive.sum() < last.alive.size
+    assert (last.escape_time > cfg.t0 + k0 * cfg.dt).any()  # escapes after the start
+    if k0:
+        # The start's alive and escape_time are the caller's: copied, not written.
+        assert np.array_equal(alive, given[0])
+        assert np.array_equal(escape_time, given[1], equal_nan=True)
+        assert given[0].sum() > last.alive.sum()
 
 
 def test_shared_signal_equals_its_per_row_repetition(monkeypatch):
     # An (m, n) signal shared by every row and the same signal repeated to
-    # (rows, m, n) drive bitwise the same runs: final states, escapes and the
-    # running-cost sum, through step halvings and mid-run escapes.
+    # (rows, m, n) drive bitwise the same runs: states and escapes at every
+    # node, and the running-cost sum, through step halvings and mid-run escapes.
     rescues = []
     advance = dynamics._advance_one
 
@@ -559,29 +628,29 @@ def test_shared_signal_equals_its_per_row_repetition(monkeypatch):
         return out
 
     monkeypatch.setattr(dynamics, "_advance_one", counted)
-    cfg = SdeConfig(energy=pair_spec(sigma=1.0), T=0.1, dt=1e-2)
-    paths = 12
-    rho = np.repeat([[0.03, 0.97], [0.05, 0.95]], paths, axis=0)
-    s = np.repeat([[-1.0, 1.0], [-0.8, 0.9]], paths, axis=0)
-    noise = draw_noise(cfg, 4, paths)
-    streams = np.tile(np.arange(paths), 2)
+    cfg, rho, s, noise, streams = escape_setting()
+    paths = noise.incs.shape[0]
     shared = ControlSignal([0.0, 0.05, 0.1], [[0.6, -0.2], [-0.3, 0.5]], ell=1.0)
     repeated = ControlSignal(
         shared.breakpoints, np.repeat(shared.values[None], rho.shape[0], axis=0), ell=1.0
     )
+    last = assert_same_nodes(
+        run_rows(replace(cfg, control=shared), rho, s, noise, streams),
+        run_rows(replace(cfg, control=repeated), rho, s, noise, streams),
+        fields=("k", "rho", "s", "alive", "escape_time"),
+    )
+    assert rescues
+    assert 0 < last.alive.sum() < last.alive.size
+    assert np.nanmin(last.escape_time) < cfg.T - 2 * cfg.dt
+
     cost = control.CostSpec(
         family=control.BOUNDED_TRACKING, target_rho=[0.5, 0.5], target_x=[0.0, 0.0]
     )
-    for reducer in (None, partial(control._RunningCost, cost)):
-        rescues.clear()
-        got = run_rows(replace(cfg, control=shared), rho, s, noise, streams, reducer)
-        assert rescues
-        ref = run_rows(replace(cfg, control=repeated), rho, s, noise, streams, reducer)
-        alive, escape_time = ref[2], ref[3]
-        assert 0 < alive.sum() < alive.size
-        assert np.nanmin(escape_time) < cfg.T - 2 * cfg.dt
-        for a, b in zip(got, ref):
-            assert a.tobytes() == b.tobytes()
+    starts = [control._fresh(rho[lo], s[lo], paths) for lo in (0, paths)]
+    assert_same_estimates(
+        costs_to_the_end(cost, replace(cfg, control=shared), starts, noise),
+        costs_to_the_end(cost, replace(cfg, control=repeated), starts, noise),
+    )
 
 
 @pytest.mark.parametrize("bp", [0.03, 0.035])
@@ -602,37 +671,38 @@ def test_run_rows_resumed_at_a_breakpoint_equals_the_full_run(monkeypatch, bp):
         return out
 
     monkeypatch.setattr(dynamics, "_advance_one", counted)
-    cfg = SdeConfig(energy=pair_spec(sigma=1.0), T=0.1, dt=1e-2)
-    paths = 12
-    rho = np.repeat([[0.03, 0.97], [0.05, 0.95]], paths, axis=0)
-    s = np.repeat([[-1.0, 1.0], [-0.8, 0.9]], paths, axis=0)
-    noise = draw_noise(cfg, 4, paths)
-    streams = np.tile(np.arange(paths), 2)
+    cfg, rho, s, noise, streams = escape_setting()
+    paths = noise.incs.shape[0]
     first = [0.6, -0.2]
-    a = ControlSignal([0.0, bp, 0.1], [first, [-0.3, 0.5]], ell=1.0)
-    b = ControlSignal([0.0, bp, 0.1], [first, [0.4, -0.7]], ell=1.0)
+    a = replace(cfg, control=ControlSignal([0.0, bp, 0.1], [first, [-0.3, 0.5]], ell=1.0))
+    b = replace(cfg, control=ControlSignal([0.0, bp, 0.1], [first, [0.4, -0.7]], ell=1.0))
     k0 = int(np.searchsorted(dynamics._time_grid(cfg)[2], bp, side="right")) - 1
     assert k0 == 3
     cost = control.CostSpec(
         family=control.BOUNDED_TRACKING, target_rho=[0.5, 0.5], target_x=[0.0, 0.0]
     )
-    reducer = partial(control._RunningCost, cost)
-    *_, (mark,) = run_rows(replace(cfg, control=a), rho, s, noise, streams, reducer, marks=[k0])
+    fresh = [control._fresh(rho[lo], s[lo], paths) for lo in (0, paths)]
+
+    def marked(k):
+        # Each run's row state at node k of A's run: (rho, s, alive, escape_time, cost).
+        ests = control._cost_estimates(cost, a, fresh, noise, cost.terminal_cost, 0, [k])
+        return [est.marks[0] for est in ests]
+
+    marks = marked(k0)
     rescues.clear()
-    got = run_rows(replace(cfg, control=b), mark[0], mark[1], noise, streams, reducer, k0, mark[2:])
+    got = costs_to_the_end(cost, b, marks, noise, k0)
     assert rescues and min(rescues) >= k0
-    ref = run_rows(replace(cfg, control=b), rho, s, noise, streams, reducer)
-    assert (mark[2] & ~ref[2]).any()  # a path alive at k0 escapes later
-    assert 0 < ref[2].sum() < ref[2].size
-    for x, y in zip(got, ref):
-        assert x.tobytes() == y.tobytes()
+    ref = costs_to_the_end(cost, b, fresh, noise)
+    alive_k0 = np.concatenate([mark[2] for mark in marks])
+    alive_T = np.concatenate([est.marks[0][2] for est in ref])
+    assert (alive_k0 & ~alive_T).any()  # a path alive at k0 escapes later
+    assert 0 < alive_T.sum() < alive_T.size
+    assert_same_estimates(got, ref)
     if bp > 0.03:
         # Resumed one node later, past bp, the run misses the piece-1 control
         # that a rescue's half steps in step k0 used in B's full run.
-        *_, (late,) = run_rows(
-            replace(cfg, control=a), rho, s, noise, streams, reducer, marks=[k0 + 1]
+        wrong = costs_to_the_end(cost, b, marked(k0 + 1), noise, k0 + 1)
+        assert any(
+            x.tobytes() != y.tobytes()
+            for w, r in zip(wrong, ref) for x, y in zip(w.marks[0], r.marks[0])
         )
-        wrong = run_rows(
-            replace(cfg, control=b), late[0], late[1], noise, streams, reducer, k0 + 1, late[2:]
-        )
-        assert any(x.tobytes() != y.tobytes() for x, y in zip(wrong, ref))
