@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fhat_norm
+from ._kernels import fhat_norm, hjb_layer
 from .control import BOUNDED_TRACKING, CostSpec, bellman_gap, legendre_fhat, value_function_mc
 from .dynamics import ControlSignal, SdeConfig, batch_arrays, regularity_scan, simulate
 from .energies import (
@@ -55,7 +55,6 @@ from .hjb import (
     sup_convolution,
     truncation_identity_check,
 )
-from ._kernels import hjb_layer
 from .rng import RngStream
 from .waves import madelung_forward, sse_residual
 

@@ -113,13 +113,17 @@ class ExperimentConfig:
             raise DomainError(f"unsupported config schema {raw.get('schema')!r}")
 
         gsec = raw["graph"]
-        n = int(gsec["n"])
+        n = gsec["n"]
+        if not _count(n, 1):
+            raise DomainError("graph.n must be an int >= 1")
         graph = Graph.from_edges(n, [tuple(e) for e in gsec["edges"]])
 
         esec = dict(raw.get("energy", {}))
         sigma = esec.pop("sigma", None)
-        if sigma is not None and np.ndim(sigma) == 0:
+        if _number(sigma):
             sigma = np.full(n, float(sigma))
+        elif sigma is not None:
+            sigma = _vector(sigma, n, "energy.sigma")
         weight = ProbabilityWeight(esec.pop("weight_kind", "average"))
         energy = EnergySpec(graph=graph, weight=weight, sigma=sigma, **esec)
 
@@ -143,7 +147,7 @@ class ExperimentConfig:
         _check_solver(ssec)
 
         usec = dict(raw.get("control", {}))
-        ell = float(usec.pop("ell", 1.0))
+        ell = usec.pop("ell", 1.0)
         control_class = {"ell": ell, **(usec.pop("class", None) or {"m": 1})}
         constant = usec.pop("constant", None)
         if usec:
@@ -152,19 +156,22 @@ class ExperimentConfig:
         # of its own too, in case the class sets a different one.
         for klass in (control_class, {"ell": ell}):
             _read_class(klass, t0, T)
+        ell = float(ell)
         if constant is not None:
             sde = replace(sde, control=ControlSignal.constant(
                 _vector(constant, n, "control.constant"), t0, T, ell
             ))
 
         st = raw.get("state", {})
-        rho0 = DensityState(rho=_vector(st.get("rho", np.full(n, 1.0 / n)), n, "state.rho"))
-        x0 = MomentumState(s=_vector(st.get("x", np.zeros(n)), n, "state.x"))
+        rho0 = DensityState(rho=_vector(st.get("rho", [1.0 / n] * n), n, "state.rho"))
+        x0 = MomentumState(s=_vector(st.get("x", [0.0] * n), n, "state.x"))
         rho_target = st.get("rho_target")
         if rho_target is not None:
             rho_target = DensityState(rho=_vector(rho_target, n, "state.rho_target"))
 
-        effective_seed = int(raw.get("seed", 0) if seed is None else seed)
+        effective_seed = raw.get("seed", 0) if seed is None else seed
+        if isinstance(effective_seed, bool) or not isinstance(effective_seed, int):
+            raise DomainError("seed must be an int")
         effective_out = Path(out if out is not None else raw.get("out", "out"))
         echo = copy.deepcopy(raw)
         echo["seed"] = effective_seed
@@ -210,13 +217,15 @@ def _count(value, low: int) -> bool:
 def _check_solver(s: dict) -> None:
     """Refuse a solver value out of its range, whichever subcommand would use it.
 
-    t0, T, dt and boundary_floor are ``SdeConfig``'s, already checked.  The
-    ranges of t_bar and path_steps are ``bellman_gap``'s and
-    ``wasserstein_path``'s; X and rho_margin keep the grid's axes increasing
-    and its densities interior.  NaN fails every comparison, so it is refused.
+    ``SdeConfig`` has already checked the ranges of t0, T, dt and
+    boundary_floor, but it compares a bool as 0 or 1.  The ranges of t_bar
+    and path_steps are ``bellman_gap``'s and ``wasserstein_path``'s; X and
+    rho_margin keep the grid's axes increasing and its densities interior.
+    NaN fails every comparison, so it is refused.
     """
     t_bar, shape, theta = s["t_bar"], s["grid_shape"], s["theta"]
     rules = {
+        **{key: (_number(s[key]), "a number") for key in ("t0", "T", "dt", "boundary_floor")},
         "t_bar": (t_bar is None or _number(t_bar) and s["t0"] < t_bar <= s["T"],
                   "null or a number in (t0, T]"),
         "grid_shape": (isinstance(shape, (list, tuple)) and len(shape) == 4
@@ -242,10 +251,9 @@ def _check_solver(s: dict) -> None:
 
 
 def _vector(value, n: int, name: str) -> np.ndarray:
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (n,):
-        raise ShapeError(f"{name} must have one entry per vertex")
-    return vec
+    if not (isinstance(value, list) and len(value) == n and all(map(_number, value))):
+        raise ShapeError(f"{name} must be a list of numbers, one per vertex")
+    return np.array(value, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,14 @@ All estimators run on the lockstep engine of ``dynamics.run_rows``:
   searches.
 * Wall time follows the number of sequential lockstep steps, so two
   mechanisms cut them, both bitwise: every trial on a search's path still
-  sees the same control, start state and noise.  A search of at most
-  ``_SPECULATE_ROWS`` rows (starts x paths) scores each golden-section
-  trial together with both trials that can follow it, two iterations a
-  round.  A trial that moves only piece j >= 1 starts at breakpoint j's grid
-  node from the incumbent's row state there (prefix reuse: ``run_rows``'s
-  ``k0``); the incumbent's ``_Estimate`` keeps that state.
+  sees the same control, start state and noise.  In a search of at most
+  ``_SPECULATE_ROWS`` rows (starts x paths), a round that scores the points
+  a golden-section comparison needs also scores both points that can
+  follow it, so the next comparison needs no round: two iterations a round.
+  Prefix reuse: an ``_Estimate`` keeps its run's row state at the node of
+  each breakpoint 0..m-1 (its marks; mark 0 is the paths' start), and a
+  trial that moves only piece j starts at breakpoint j's grid node from the
+  incumbent's mark j (``run_rows``'s ``k0``).
 * ``run_rows`` yields every grid node and each caller keeps what it needs.
   ``_cost_estimates`` sums the left-rectangle running cost as the nodes
   arrive and stores no paths; the terminal functional (``terminal_cost``,
@@ -224,7 +226,7 @@ class _Estimate(NamedTuple):
     mean: float
     std_error: float
     n_paths: int
-    # The run's row state at the nodes of breakpoints 1..m-1, from which
+    # The run's row state at the nodes of breakpoints 0..m-1, from which
     # the runs of trials that change a later piece start.
     marks: tuple = ()
 
@@ -334,6 +336,7 @@ def cost_functional(
     master_seed: int,
 ) -> ValueEstimate:
     """MC estimate of the expected running-plus-terminal cost of one control."""
+    n_paths = _int_at_least(n_paths, 1, "n_paths")
     if control is None:
         # The zero control moves and costs exactly what no control does.
         control = ControlSignal.constant(np.zeros(rho.n), t, cfg.T, 1.0)
@@ -356,123 +359,104 @@ def _golden_min(trial, lo: float, hi: float, iters: int, speculate: bool = False
 
     A coroutine: yields lists of trials (``trial(v)`` for coordinate value
     v), is sent their estimates, and returns (v, estimate at v) after
-    iters + 2 trials on its path.  With ``speculate`` a round also yields
-    both trials that can follow its last one, one for each outcome of the
-    comparison that picks it.  A round then takes two iterations (the first
-    round is [c, d] and both successors) and one of its trials is discarded
-    unused; the trials on the path, and so the result, are the plain
-    search's.
+    iters + 2 trials on its path.  A round scores the bracket points that
+    the next comparison still needs; with ``speculate`` it also scores both
+    points that can follow that comparison, one for each outcome, and the
+    comparison after that then needs no round.  So a round takes two
+    iterations and discards one trial unused; the trials on the path, and
+    so the result, are the plain search's.
     """
 
     def shrink(bracket, left):
         # Keep [a, d] when f(c) <= f(d) (left), else [c, b]; one new point.
         a, b, c, d = bracket
-        if left:
-            b, d = d, c
-            c = b - GOLDEN * (b - a)
-            return (a, b, c, d), c
-        a, c = c, d
-        d = a + GOLDEN * (b - a)
-        return (a, b, c, d), d
-
-    def forks(bracket):
-        return [trial(shrink(bracket, left)[1]) for left in (True, False)]
-
-    def settle(bracket, fc, fd, left, f_new):
-        bracket = shrink(bracket, left)[0]
-        return (bracket, _taken(f_new), fc) if left else (bracket, fd, _taken(f_new))
+        return (a, d, d - GOLDEN * (d - a), c) if left else (c, b, d, c + GOLDEN * (b - c))
 
     bracket = (lo, hi, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
-    todo = iters
-    fork = speculate and todo > 0
-    sent = yield [trial(bracket[2]), trial(bracket[3])] + (forks(bracket) if fork else [])
-    fc, fd = _taken(sent[0]), _taken(sent[1])
-    if fork:
+    held = [None, None]  # the estimates at c and d, once scored
+    for todo in range(iters, -1, -1):
+        need = [i for i in (0, 1) if held[i] is None]
+        forks = []
+        if need:
+            ahead = []
+            if speculate and todo:
+                ahead = [shrink(bracket, True)[2], shrink(bracket, False)[3]]
+            sent = yield [trial(bracket[2 + i]) for i in need] + [trial(v) for v in ahead]
+            for i, est in zip(need, sent):
+                held[i] = est
+            forks = sent[len(need):]
+        fc, fd = _taken(held[0]), _taken(held[1])
         left = fc.mean <= fd.mean
-        bracket, fc, fd = settle(bracket, fc, fd, left, sent[2 if left else 3])
-        todo -= 1
-    while todo:
-        left = fc.mean <= fd.mean
-        ahead, v = shrink(bracket, left)
-        fork = speculate and todo > 1
-        sent = yield [trial(v)] + (forks(ahead) if fork else [])
-        bracket, fc, fd = settle(bracket, fc, fd, left, sent[0])
-        todo -= 1
-        if fork:
-            left = fc.mean <= fd.mean
-            bracket, fc, fd = settle(bracket, fc, fd, left, sent[1 if left else 2])
-            todo -= 1
-    if fc.mean <= fd.mean:
-        return bracket[2], fc
-    return bracket[3], fd
+        if not todo:
+            return (bracket[2], fc) if left else (bracket[3], fd)
+        # Only the scores the new bracket holds are kept.
+        bracket = shrink(bracket, left)
+        new = forks[0 if left else 1] if forks else None
+        held = [new, fc] if left else [fd, new]
 
 
 class _Trial(NamedTuple):
-    params: Array                 # (m, n) control values
-    piece: int                    # the first piece where they may differ from the incumbent's
-    incumbent: _Estimate | None   # the search's best so far, whose marks a run may start from
+    params: Array   # (m, n) control values
+    piece: int      # the first piece where they may differ from the incumbent's
+    marks: tuple    # the incumbent's marks, from which a run may start
 
 
-def _moved(params: Array, piece: int, axis: int, incumbent: _Estimate, v: float) -> _Trial:
+def _moved(params: Array, piece: int, axis: int, marks: tuple, v: float) -> _Trial:
     """The trial that sets params[piece, axis] to v and keeps the rest of the incumbent."""
     out = params.copy()
     out[piece, axis] = v
-    return _Trial(out, piece, incumbent)
+    return _Trial(out, piece, marks)
 
 
 def _coordinate_search(
-    m: int, n: int, ell: float, sweeps: int, iters: int, budget: float, speculate: bool
+    start: tuple, m: int, n: int, ell: float, sweeps: int, iters: int, budget: float,
+    speculate: bool,
 ):
     """Coordinate-wise golden-section search for an (m, n) control in the ell-ball.
 
     Each coordinate is searched inside the ball slice the others leave; a
     sweep that improves nothing, or a budget that cannot fit another
-    coordinate, ends the search.  A coroutine like ``_golden_min`` that
-    yields ``_Trial``s: it returns (params, best estimate, evals, flagged),
-    where evals counts the trials on the path only.
+    coordinate, ends the search.  ``start`` is the paths' row state at t0
+    (``_fresh``), the first trial's one mark.  A coroutine like
+    ``_golden_min`` that yields ``_Trial``s: it returns (params, best
+    estimate, evals, flagged), where evals counts the trials on the path only.
     """
     params = np.zeros((m, n))
-    (best,) = yield [_Trial(params.copy(), 0, None)]
+    (best,) = yield [_Trial(params.copy(), 0, (start,))]
     best = _kept(_taken(best))
     evals = 1
-    flagged = False
     for _ in range(sweeps):
         improved = False
-        for piece in range(m):
-            for axis in range(n):
-                rest2 = float((params[piece] ** 2).sum() - params[piece, axis] ** 2)
-                half = math.sqrt(max(ell * ell - rest2, 0.0))
-                if half <= 0.0:
-                    continue
-                if evals + iters + 2 > budget:
-                    flagged = True
-                    break
-                trial = partial(_moved, params, piece, axis, best)
-                v_star, f_star = yield from _golden_min(trial, -half, half, iters, speculate)
-                evals += iters + 2
-                if f_star.mean < best.mean - 1e-15:
-                    params[piece, axis] = v_star
-                    best = _kept(f_star)
-                    improved = True
-            if flagged:
-                break
-        if flagged or not improved:
+        for piece, axis in np.ndindex(m, n):
+            rest2 = float((params[piece] ** 2).sum() - params[piece, axis] ** 2)
+            half = math.sqrt(max(ell * ell - rest2, 0.0))
+            if half <= 0.0:
+                continue
+            if evals + iters + 2 > budget:
+                return params, best, evals, True
+            trial = partial(_moved, params, piece, axis, best.marks)
+            v_star, f_star = yield from _golden_min(trial, -half, half, iters, speculate)
+            evals += iters + 2
+            if f_star.mean < best.mean - 1e-15:
+                params[piece, axis] = v_star
+                best = _kept(f_star)
+                improved = True
+        if not improved:
             break
-    return params, best, evals, flagged
+    return params, best, evals, False
 
 
 def _lockstep(searches: list, estimate) -> list:
     """Run coroutine searches side by side; returns their return values.
 
     Each round gathers every search's pending trials and scores them all
-    with one ``estimate(owners, trials)`` call, so K searches cost one
-    batched run per round instead of K runs.
+    with one ``estimate(trials)`` call, so K searches cost one batched run
+    per round instead of K runs.
     """
     results = [None] * len(searches)
     pending = {i: next(search) for i, search in enumerate(searches)}
     while pending:
-        owners = [i for i, trials in pending.items() for _ in trials]
-        scores = iter(estimate(owners, [t for trials in pending.values() for t in trials]))
+        scores = iter(estimate([t for trials in pending.values() for t in trials]))
         advanced = {}
         for i, trials in pending.items():
             try:
@@ -505,9 +489,9 @@ def _read_class(control_class: dict, t: float, T: float) -> _ControlClass:
     is_number = type(ell) in (int, float) or isinstance(ell, np.number)
     if not (is_number and 0.0 < ell < math.inf):
         raise DomainError("control class ell must be a positive number")
-    m = _class_int(control_class, "m", 1, 1)
-    sweeps = _class_int(control_class, "sweeps", 2, 1)
-    iters = _class_int(control_class, "golden_iters", 14, 0)
+    m = _int_at_least(control_class.get("m", 1), 1, "control class m")
+    sweeps = _int_at_least(control_class.get("sweeps", 2), 1, "control class sweeps")
+    iters = _int_at_least(control_class.get("golden_iters", 14), 0, "control class golden_iters")
     if "breakpoints" in control_class:
         bp = np.asarray(control_class["breakpoints"], dtype=float)
         if bp.ndim != 1 or bp.size < 2 or not (np.diff(bp) > 0.0).all():
@@ -519,10 +503,9 @@ def _read_class(control_class: dict, t: float, T: float) -> _ControlClass:
     return _ControlClass(bp, float(ell), sweeps, iters)
 
 
-def _class_int(control_class: dict, key: str, default: int, low: int) -> int:
-    value = control_class.get(key, default)
+def _int_at_least(value, low: int, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise DomainError(f"control class {key} must be an int >= {low}")
+        raise DomainError(f"{name} must be an int >= {low}")
     return int(value)
 
 
@@ -546,6 +529,7 @@ def value_function_mc(
     share increments through the fixed master seed.
     """
     klass = _read_class(control_class, t, cfg.T)
+    n_paths = _int_at_least(n_paths, 1, "n_paths")
     run_cfg = replace(cfg, t0=t)
     return _value_search(
         cost, run_cfg, [(rho.rho, x.s)], klass, draw_noise(run_cfg, master_seed, n_paths),
@@ -587,27 +571,23 @@ def _value_search(
     # off-grid breakpoint it would not, since a rescue's half steps in the
     # step before it may cross into piece j.
     times = _time_grid(cfg)[2]
-    nodes = (np.searchsorted(times, bp[1:-1], side="right") - 1).tolist()
+    nodes = (np.searchsorted(times, bp[:-1], side="right") - 1).tolist()
 
-    def estimate(owners, trials):
+    def estimate(trials):
         signal = ControlSignal(
             bp, np.repeat(np.stack([trial.params for trial in trials]), paths, axis=0), ell
         )
-        run_cfg = replace(cfg, control=signal)
         # Every trial keeps its incumbent's pieces before its own, so the
-        # batch starts at the earliest breakpoint any of them moves.
+        # batch starts at the earliest breakpoint any of them moves, from
+        # each incumbent's mark there; the marks up to it are the incumbent's.
         j = min(trial.piece for trial in trials)
-        if j == 0:
-            begin = [_fresh(*starts[i], paths) for i in owners]
-            return _cost_estimates(cost, run_cfg, begin, noise, terminal, 0, nodes)
-        begin = [trial.incumbent.marks[j - 1] for trial in trials]
         ests = _cost_estimates(
-            cost, run_cfg, begin, noise, terminal, nodes[j - 1], nodes[j - 1:]
+            cost, replace(cfg, control=signal), [trial.marks[j] for trial in trials], noise,
+            terminal, nodes[j], nodes[j + 1:],
         )
-        # The marks before breakpoint j are the incumbent's.
         return [
             est if isinstance(est, EscapeQuotaError)
-            else est._replace(marks=trial.incumbent.marks[:j - 1] + est.marks)
+            else est._replace(marks=trial.marks[:j + 1] + est.marks)
             for trial, est in zip(trials, ests)
         ]
 
@@ -621,8 +601,10 @@ def _value_search(
     # Hence _SPECULATE_ROWS, at the low end of the crossover.
     speculate = len(starts) * paths <= _SPECULATE_ROWS
     searches = [
-        _coordinate_search(m, n, ell, klass.sweeps, klass.golden_iters, budget, speculate)
-        for _ in starts
+        _coordinate_search(
+            _fresh(rho, s, paths), m, n, ell, klass.sweeps, klass.golden_iters, budget, speculate
+        )
+        for rho, s in starts
     ]
     out = []
     for params, best, evals, flagged in _lockstep(searches, estimate):
@@ -662,9 +644,14 @@ def bellman_gap(
     The inner value is evaluated on a small lattice covering the reachable
     cloud at t_bar and interpolated multilinearly (n = 2 states only).
     Every search and probe uses the class's ball radius ``ell`` (default
-    1.0); ``cfg.control`` plays no part.  Returns (gap, combined standard
-    error); with ``return_detail`` a dict of the intermediate estimates is
-    appended.
+    1.0); ``cfg.control`` plays no part.  Each search sets its own
+    breakpoints, so the class's ``m`` and ``breakpoints`` are only checked.
+    Its ``sweeps`` and ``golden_iters`` reach the outer value and the inner
+    lattice, both searched with a budget of 150 evaluations; the middle
+    search always runs 2 sweeps of 12 golden-section iterations, without a
+    budget.  ``inner_paths`` defaults to max(n_paths // 4, 200).  Returns
+    (gap, combined standard error); with ``return_detail`` a dict of the
+    intermediate estimates is appended.
     """
     n = rho.n
     if n != 2:
@@ -675,7 +662,10 @@ def bellman_gap(
     if shape.shape != (3,) or shape.dtype.kind not in "iu" or (shape < 1).any():
         raise DomainError("lattice_shape must be three positive ints")
     lattice_shape = tuple(shape.tolist())
-    inner_paths = inner_paths or max(n_paths // 4, 200)
+    n_paths = _int_at_least(n_paths, 1, "n_paths")
+    if inner_paths is None:
+        inner_paths = max(n_paths // 4, 200)
+    inner_paths = _int_at_least(inner_paths, 1, "inner_paths")
     klass = _read_class(control_class, t, cfg.T)
 
     outer_class = dict(control_class, breakpoints=[t, t_bar, cfg.T])

@@ -41,6 +41,7 @@ escaped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -184,17 +185,6 @@ def midpoint_step(energy: EnergySpec, floor: float, rho: Array, s: Array, V, dt:
     return new_rho, new_s, bad
 
 
-class _SlotCounter:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def take(self) -> int:
-        self.value += 1
-        return self.value - 1
-
-
 def _advance_one(
     cfg: SdeConfig,
     control_at,
@@ -205,13 +195,13 @@ def _advance_one(
     dw: Array,
     stream: RngStream,
     step_index: int,
-    slots: _SlotCounter,
+    slots: itertools.count,
     depth: int,
-    path_index: int,
 ):
     """Advance a single path over [t, t+dt], splitting the step as needed.
 
-    ``control_at(t)`` gives this path's control vector (or None) at time t.
+    ``control_at(t)`` gives this path's control vector (or None) at time t;
+    ``slots`` numbers the step's bridge draws.
     """
     V = control_at(t)
     new_rho, new_s, bad = midpoint_step(
@@ -220,13 +210,13 @@ def _advance_one(
     if not bad[0]:
         return new_rho[0], new_s[0]
     if depth >= cfg.max_rejects:
-        raise BoundaryEscapeError(time=t, path_index=path_index)
+        raise BoundaryEscapeError(time=t, path_index=stream.stream_id)
     # Brownian bridge at the midpoint: W(t+dt/2) conditioned on the coarse
     # increment, so refinement never resamples the path already committed.
-    xi = stream.bridge_normal(step_index, slots.take(), rho.size)
+    xi = stream.bridge_normal(step_index, next(slots), rho.size)
     e = 0.5 * math.sqrt(dt) * xi
     half = 0.5 * dw
-    args = (stream, step_index, slots, depth + 1, path_index)
+    args = (stream, step_index, slots, depth + 1)
     rho, s = _advance_one(cfg, control_at, rho, s, t, 0.5 * dt, half + e, *args)
     return _advance_one(cfg, control_at, rho, s, t + 0.5 * dt, 0.5 * dt, half - e, *args)
 
@@ -377,7 +367,7 @@ def run_rows(
                 try:
                     new_rho[p], new_s[p] = _advance_one(
                         cfg, _row_control(control_at, p), rho[p], s[p], t, dt_k, dw[p],
-                        stream, k, _SlotCounter(), 0, int(streams[p]),
+                        stream, k, itertools.count(), 0,
                     )
                 except BoundaryEscapeError as err:
                     alive[p] = False
@@ -452,8 +442,7 @@ def step(cfg: SdeConfig, state, t: float, dt: float, rng: RngStream, step_index:
     z = rng.base_normals(n, start=step_index * n)
     dw = math.sqrt(dt) * z
     new_rho, new_s = _advance_one(
-        cfg, cfg.control_value, rho.rho, x.s, t, dt, dw, rng, step_index, _SlotCounter(), 0,
-        rng.stream_id,
+        cfg, cfg.control_value, rho.rho, x.s, t, dt, dw, rng, step_index, itertools.count(), 0
     )
     return DensityState(rho=new_rho, floor=min(cfg.boundary_floor, 1e-9)), MomentumState(s=new_s)
 

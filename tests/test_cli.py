@@ -217,11 +217,21 @@ EXPERIMENTS = ["simulate", "transform", "wdist", "cost", "value", "bellman", "hj
     ("solver", "t_bar", 0.0, EXPERIMENTS),
     ("solver", "X", -1, EXPERIMENTS),
     ("solver", "rho_margin", 0.5, EXPERIMENTS),
+    ("seed", None, 2.7, EXPERIMENTS),
+    ("graph", "n", 2.9, EXPERIMENTS),
+    ("solver", "T", True, EXPERIMENTS),
+    ("solver", "dt", True, EXPERIMENTS),
+    ("control", "ell", True, EXPERIMENTS),
+    ("control", "ell", "0.5", EXPERIMENTS),
+    ("energy", "sigma", True, EXPERIMENTS),
+    ("state", "x", ["0.4", "-0.2"], EXPERIMENTS),
 ], ids=["ell_negative", "ell_negative_under_class_ell", "rho_off_simplex", "zero_pieces",
         "dt_infinite", "escape_quota_negative", "escape_quota_nan", "n_paths_fraction",
         "n_paths_bool", "inner_paths_zero", "budget_negative", "grid_shape_two_axes",
         "grid_shape_one_point", "theta_negative", "path_steps_2", "path_iters_negative",
-        "t_bar_past_T", "t_bar_at_t0", "X_negative", "rho_margin_half"])
+        "t_bar_past_T", "t_bar_at_t0", "X_negative", "rho_margin_half", "seed_fraction",
+        "n_fraction", "T_bool", "dt_bool", "ell_bool", "ell_string", "sigma_bool",
+        "x_strings"])
 def test_bad_values_fail_at_load_for_every_subcommand(tmp_path, capsys, section, key, bad,
                                                       commands):
     """A bad value exits 2 and writes nothing, even where the subcommand

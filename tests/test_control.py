@@ -521,6 +521,47 @@ def test_bad_control_class_is_rejected_before_simulating(klass, monkeypatch):
             bellman_gap(plain_cost(), cfg, 0.0, 0.05, rho, x, klass, 8, 1)
 
 
+def forbid_noise(monkeypatch, what):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError(f"Monte Carlo ran before {what} was checked")
+
+    monkeypatch.setattr("graphwhs.control.draw_noise", no_simulation)
+    monkeypatch.setattr("graphwhs.control.run_rows", no_simulation)
+
+
+BAD_PATH_COUNTS = [0, -3, True, False]
+
+
+@pytest.mark.parametrize("paths", BAD_PATH_COUNTS)
+def test_cost_functional_rejects_a_bad_path_count(paths, monkeypatch):
+    forbid_noise(monkeypatch, "n_paths")
+    rho = DensityState(rho=np.array([0.35, 0.65]))
+    x = MomentumState(s=np.array([0.4, -0.2]))
+    with pytest.raises(DomainError, match="n_paths"):
+        cost_functional(plain_cost(), noiseless_cfg(), 0.0, rho, x, None, paths, 1)
+
+
+@pytest.mark.parametrize("paths", BAD_PATH_COUNTS)
+def test_value_function_mc_rejects_a_bad_path_count(paths, monkeypatch):
+    forbid_noise(monkeypatch, "n_paths")
+    rho = DensityState(rho=np.array([0.35, 0.65]))
+    x = MomentumState(s=np.array([0.4, -0.2]))
+    with pytest.raises(DomainError, match="n_paths"):
+        value_function_mc(plain_cost(), noiseless_cfg(), 0.0, rho, x, {"m": 1}, paths, 1)
+
+
+@pytest.mark.parametrize("paths", BAD_PATH_COUNTS)
+def test_bellman_gap_rejects_a_bad_path_count(paths, monkeypatch):
+    forbid_noise(monkeypatch, "the path count")
+    cfg = noiseless_cfg(T=0.1, dt=5e-3)
+    rho = DensityState(rho=np.array([0.35, 0.65]))
+    x = MomentumState(s=np.array([0.4, -0.2]))
+    with pytest.raises(DomainError, match="n_paths"):
+        bellman_gap(plain_cost(), cfg, 0.0, 0.05, rho, x, {"m": 1}, paths, 1)
+    with pytest.raises(DomainError, match="inner_paths"):
+        bellman_gap(plain_cost(), cfg, 0.0, 0.05, rho, x, {"m": 1}, 8, 1, inner_paths=paths)
+
+
 def test_budget_flagging():
     spec = EnergySpec(graph=pair_graph(), sigma=np.array([0.2, 0.2]))
     cfg = SdeConfig(energy=spec, T=0.05, dt=5e-3)
@@ -693,7 +734,7 @@ def test_prefix_reuse_equals_full_recomputation_in_the_search(monkeypatch, break
 
     def counted(*args):
         out = advance(*args)
-        if args[-2] == 0:  # a whole step that was halved and kept its path alive
+        if args[-1] == 0:  # a whole step that was halved and kept its path alive
             rescues.append(args[8])
         return out
 
@@ -716,7 +757,7 @@ def test_prefix_reuse_equals_full_recomputation_in_the_search(monkeypatch, break
             est.marks[-1][2] if ok else np.zeros_like(start[2])
             for start, est, ok in zip(starts, got, kept)
         ])
-        j = m - len(marks)  # the first piece the batch moves
+        j = m - 1 - len(marks)  # the first piece the batch moves
         resumed.append((j, k0, late_rescue, (alive_k0 & ~alive_T).any()))
         return [est._replace(marks=est.marks[:-1]) if ok else est for est, ok in zip(got, kept)]
 
@@ -731,6 +772,41 @@ def test_prefix_reuse_equals_full_recomputation_in_the_search(monkeypatch, break
     }
     assert any(late for _, _, late, _ in resumed)
     assert any(escaped for _, _, _, escaped in resumed)
+
+
+def test_a_kept_incumbent_owns_its_marks(monkeypatch):
+    # A search holds its best estimate for long, so it keeps a copy of that
+    # estimate's marks (_kept): as views they would hold the arrays of the
+    # whole batch that scored it.  Mark 0 is the paths' start at t0.
+    batches, results = [], []
+    estimates, lockstep = control._cost_estimates, control._lockstep
+
+    def recorded(*args):
+        out = estimates(*args)
+        batches.append([
+            a for est in out if isinstance(est, control._Estimate)
+            for state in est.marks for a in state
+        ])
+        return out
+
+    def search(searches, estimate):
+        results.extend(lockstep(searches, estimate))
+        return results
+
+    monkeypatch.setattr(control, "_cost_estimates", recorded)
+    monkeypatch.setattr(control, "_lockstep", search)
+    cost, cfg, t, _, rho, x, _, paths, seed = small_gap_inputs()
+    klass = {"ell": 1.0, "m": 3, "golden_iters": 2, "sweeps": 1}
+    value_function_mc(cost, cfg, t, rho, x, klass, paths, seed)
+    [(params, best, _, _)] = results
+    assert params.any() and len(best.marks) == 3
+    for a, b in zip(best.marks[0], control._fresh(rho.rho, x.s, paths), strict=True):
+        assert a.tobytes() == b.tobytes()
+    batch_arrays = [a for batch in batches for a in batch]
+    assert batch_arrays
+    for state in best.marks:
+        for a in state:
+            assert not any(np.shares_memory(a, b) for b in batch_arrays)
 
 
 def test_lockstep_step_counts_are_pinned(monkeypatch):

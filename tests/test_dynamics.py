@@ -455,7 +455,7 @@ def reference_run_rows(cfg, rho, s, noise, streams):
             try:
                 new_rho[p], new_s[p] = dynamics._advance_one(
                     cfg, dynamics._row_control(control_at, p), rho[p], s[p], t, dt_k, dw[p],
-                    stream, k, dynamics._SlotCounter(), 0, int(streams[p]),
+                    stream, k, itertools.count(), 0,
                 )
             except BoundaryEscapeError as err:
                 alive[p] = False
@@ -623,8 +623,8 @@ def test_shared_signal_equals_its_per_row_repetition(monkeypatch):
 
     def counted(*args):
         out = advance(*args)
-        if args[-2] == 0:  # a whole step that was halved and kept its path alive
-            rescues.append(args[-1])
+        if args[-1] == 0:  # a whole step that was halved and kept its path alive
+            rescues.append(args[7].stream_id)
         return out
 
     monkeypatch.setattr(dynamics, "_advance_one", counted)
@@ -666,7 +666,7 @@ def test_run_rows_resumed_at_a_breakpoint_equals_the_full_run(monkeypatch, bp):
 
     def counted(*args):
         out = advance(*args)
-        if args[-2] == 0:  # a whole step that was halved and kept its path alive
+        if args[-1] == 0:  # a whole step that was halved and kept its path alive
             rescues.append(args[8])
         return out
 
