@@ -2,8 +2,9 @@
 multilinear interpolation.
 
 All are numpy.  The layer sweep treats grid cells independently (it reads
-only from the previous layer).  The Moreau line transform is bound by memory
-traffic.  ``fhat_norm`` is the one closed form of the ball-constrained
+only from the previous layer).  The Moreau line transform sweeps only the
+band of source offsets whose candidates can still beat the output point's
+own value.  ``fhat_norm`` is the one closed form of the ball-constrained
 Legendre transform; ``control`` and the layer sweep both use it.  The
 interpolators serve ``hjb`` (grid values) and ``control`` (the nested
 lattice), so they live here, below both.
@@ -83,22 +84,61 @@ def hjb_layer(U, a_r, b1, b2, g_field, sig1sq, sig2sq, hr, h1, h2, dt, ell, c):
 def moreau_lines(vals: np.ndarray, coords: np.ndarray, weight: float, theta: float) -> np.ndarray:
     """Row-wise quadratic sup-envelope along one grid axis.
 
-    Works on the (m, lines) transpose, so the loop over source points j
-    folds one contiguous candidate block vals[:, j] - pen[i, j] into the
-    running maximum of every output point i at once.  A max is exact, so
-    the order of the sweep does not change the result.  The transpose is
-    free when ``vals`` is itself the transpose of a C-contiguous array, and
-    the result comes back in that layout.
+    Works on the (m, lines) transpose and sweeps source offsets d: the block
+    vals[i + d] - pen[i, i + d] (and the one at -d) folds into the running
+    maximum of every line at once.  Exactness: offset 0 is each point's own
+    value (pen[i, i] = 0); past ``_reach`` every penalty exceeds what the
+    source can gain, so by monotone rounding its candidate never beats that
+    value; and a max is exact.  The result is the full sweep's bit for bit,
+    except for which sign wins a tie of +0.0 and -0.0.  The transpose is free
+    when ``vals`` is itself the transpose of a C-contiguous array, and the
+    result comes back in that layout.
     """
     vt = np.ascontiguousarray(np.asarray(vals, dtype=float).T)
     coords = np.ascontiguousarray(coords, dtype=float)
+    m = coords.size
     pen = float(weight) * (coords[:, None] - coords[None, :]) ** 2 / (2.0 * float(theta))
-    out = vt[0][None, :] - pen[:, 0][:, None]
-    tmp = np.empty_like(out)
-    for j in range(1, coords.size):
-        np.subtract(vt[j][None, :], pen[:, j][:, None], out=tmp)
-        np.maximum(out, tmp, out=out)
+    out = vt - pen.diagonal()[:, None]
+    tmp = np.empty_like(vt[1:])
+    for d in range(1, _reach(vt, coords, pen, tmp) + 1):
+        np.subtract(vt[d:], pen.diagonal(d)[:, None], out=tmp[:m - d])
+        np.maximum(out[:m - d], tmp[:m - d], out=out[:m - d])
+        np.subtract(vt[:m - d], pen.diagonal(-d)[:, None], out=tmp[:m - d])
+        np.maximum(out[d:], tmp[:m - d], out=out[d:])
     return out.T
+
+
+def _reach(vt: np.ndarray, coords: np.ndarray, pen: np.ndarray, tmp: np.ndarray) -> int:
+    """Largest offset |i - j| at which vt[j] - pen[i, j] can beat vt[i].
+
+    With R the spread of the whole block and L its steepest slope, the
+    real difference vt[j] - vt[i] is at most min(R, L |c_j - c_i|).  The
+    bound floors both L and itself at the smallest normal float, which
+    covers underflow, and its 1e-12 margin covers the rest of the rounding.
+    Rounding can make the offsets in reach non-contiguous, so this is the
+    largest one, not the first one out of reach.  Every offset is in reach
+    when the block is empty or not finite, or when the coordinates do not
+    strictly increase.  ``tmp`` holds the slopes.
+    """
+    m = coords.size
+    step = np.diff(coords)
+    if m < 2 or vt.size == 0 or not (step > 0.0).all():
+        return m - 1
+    tiny = np.finfo(float).tiny
+    # Infinite or NaN values sweep every offset; any other overflow only
+    # widens the band.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = vt.max() - vt.min()
+        np.subtract(vt[1:], vt[:-1], out=tmp)
+        np.divide(tmp, step[:, None], out=tmp)
+        slope = max(tmp.max(), -tmp.min(), tiny)
+        if not (np.isfinite(spread) and np.isfinite(slope)):
+            return m - 1
+        dist = np.abs(coords[:, None] - coords[None, :])
+        bound = np.maximum(np.minimum(spread, slope * dist), tiny) * (1.0 + 1e-12)
+    offset = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
+    # NaN penalties compare false and so stay in reach.
+    return int(offset[~(pen >= bound)].max(initial=0))
 
 
 # ---------------------------------------------------------------------------

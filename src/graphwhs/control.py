@@ -108,6 +108,11 @@ class CostSpec:
         if family not in FAMILIES:
             raise DomainError(f"unknown cost family {self.family!r}")
         object.__setattr__(self, "family", family)
+        for key in ("control_coeff", "tracking_coeff", "bound", "terminal_weight",
+                    "terminal_offset"):
+            # A bool would compare, and then be used, as 0 or 1.
+            if isinstance(getattr(self, key), (bool, np.bool_)):
+                raise DomainError(f"{key} must be a number, not a bool")
         if not 0.0 < self.control_coeff < math.inf:
             raise DomainError("control_coeff must be positive and finite")
         weights = (self.tracking_coeff, self.bound, self.terminal_weight)

@@ -86,6 +86,8 @@ class EnergySpec:
         if variant not in VARIANTS:
             raise VariantError(f"unknown energy variant {self.variant!r}")
         object.__setattr__(self, "variant", variant)
+        if isinstance(self.fisher_coeff, (bool, np.bool_)):
+            raise DomainError("fisher_coeff must be a number, not a bool")
         if not 0.0 <= self.fisher_coeff < np.inf:
             raise DomainError("fisher_coeff must be nonnegative and finite")
         w = self.interaction

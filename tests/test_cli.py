@@ -225,13 +225,15 @@ EXPERIMENTS = ["simulate", "transform", "wdist", "cost", "value", "bellman", "hj
     ("control", "ell", "0.5", EXPERIMENTS),
     ("energy", "sigma", True, EXPERIMENTS),
     ("state", "x", ["0.4", "-0.2"], EXPERIMENTS),
+    ("cost", "terminal_weight", True, EXPERIMENTS),
+    ("energy", "fisher_coeff", True, EXPERIMENTS),
 ], ids=["ell_negative", "ell_negative_under_class_ell", "rho_off_simplex", "zero_pieces",
         "dt_infinite", "escape_quota_negative", "escape_quota_nan", "n_paths_fraction",
         "n_paths_bool", "inner_paths_zero", "budget_negative", "grid_shape_two_axes",
         "grid_shape_one_point", "theta_negative", "path_steps_2", "path_iters_negative",
         "t_bar_past_T", "t_bar_at_t0", "X_negative", "rho_margin_half", "seed_fraction",
         "n_fraction", "T_bool", "dt_bool", "ell_bool", "ell_string", "sigma_bool",
-        "x_strings"])
+        "x_strings", "terminal_weight_bool", "fisher_coeff_bool"])
 def test_bad_values_fail_at_load_for_every_subcommand(tmp_path, capsys, section, key, bad,
                                                       commands):
     """A bad value exits 2 and writes nothing, even where the subcommand

@@ -125,6 +125,14 @@ def test_cost_spec_guards():
     assert CostSpec().target_rho is None
 
 
+@pytest.mark.parametrize("key", ["control_coeff", "tracking_coeff", "bound",
+                                 "terminal_weight", "terminal_offset"])
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_cost_spec_refuses_a_bool_scalar(key, flag):
+    with pytest.raises(DomainError, match=f"{key} must be a number, not a bool"):
+        CostSpec(**{key: flag})
+
+
 def test_state_and_terminal_costs():
     rho = np.array([0.75, 0.25])
     x = np.array([1.0, -1.0])

@@ -133,6 +133,9 @@ def test_spec_guards():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError):
             EnergySpec(graph=pair_graph(), fisher_coeff=bad)
+    for flag in (True, False, np.True_):
+        with pytest.raises(DomainError, match="fisher_coeff must be a number, not a bool"):
+            EnergySpec(graph=pair_graph(), fisher_coeff=flag)
     # Hyphenated variant names normalize.
     spec = EnergySpec(graph=pair_graph(), variant="Logarithmic-Entropy")
     assert spec.variant == LOGARITHMIC_ENTROPY

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from graphwhs import checks
+from graphwhs import _kernels, checks
 from graphwhs._kernels import moreau_lines, multilinear, multilinear_at
 
 from graphwhs.control import BOUNDED_TRACKING, CostSpec, hamiltonian, legendre_fhat
@@ -282,6 +282,106 @@ def test_moreau_lines_is_the_brute_force_envelope_bitwise():
     vals = np.array([[1.0, 0.0, 1.0, 0.0, 1.0], [0.25, 0.25, 0.25, 0.25, 0.25]])
     out = moreau_lines(vals, coords, 1.0, 0.5)
     assert out.tobytes() == brute(vals, coords, 1.0, 0.5).tobytes()
+
+
+def _brute_moreau(vals, coords, weight, theta):
+    """Every candidate of every output point, reduced with np.max."""
+    vals = np.asarray(vals, dtype=float)
+    pen = weight * (coords[:, None] - coords[None, :]) ** 2 / (2.0 * theta)
+    return np.max(vals[:, None, :] - pen, axis=-1)
+
+
+def _swept(vals, coords, weight, theta):
+    """The largest offset moreau_lines sweeps for this block."""
+    vt = np.ascontiguousarray(np.asarray(vals, dtype=float).T)
+    pen = weight * (coords[:, None] - coords[None, :]) ** 2 / (2.0 * theta)
+    return _kernels._reach(vt, coords, pen, np.empty_like(vt[1:]))
+
+
+def _assert_brute(vals, coords, weight=1.7, theta=0.06):
+    out = moreau_lines(vals, coords, weight, theta)
+    ref = _brute_moreau(vals, coords, weight, theta)
+    assert out.shape == np.shape(vals)
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_moreau_band_edge_cases_equal_the_brute_force_bitwise():
+    rng = np.random.default_rng(23)
+    for m in (1, 2, 3, 48):
+        coords = np.sort(rng.uniform(-1.0, 1.0, m))
+        for lines in (0, 1, 7):
+            _assert_brute(rng.normal(size=(lines, m)), coords)
+    coords = np.linspace(-1.0, 1.0, 48)
+    # Smooth lines leave a narrow band; a constant one leaves only d = 0.
+    smooth = np.sin(np.outer(np.arange(1, 6), coords))
+    assert 0 < _swept(smooth, coords, 1.7, 0.06) < 47
+    _assert_brute(smooth, coords)
+    flat = np.full((3, 48), 0.3)
+    assert _swept(flat, coords, 1.7, 0.06) == 0
+    _assert_brute(flat, coords)
+    # A spread that every penalty stays under sweeps every offset.
+    spiky = rng.normal(size=(4, 48)) * 1e3
+    assert _swept(spiky, coords, 1.7, 0.06) == 47
+    _assert_brute(spiky, coords)
+    # Non-uniform coordinates keep a band; repeated or decreasing ones sweep
+    # every offset.
+    _assert_brute(smooth, np.sort(rng.uniform(-1.0, 1.0, 48)) ** 3)
+    for bad in (np.repeat(np.linspace(-1.0, 1.0, 24), 2), coords[::-1]):
+        assert _swept(smooth, bad, 1.7, 0.06) == 47
+        _assert_brute(smooth, bad)
+    # NaN and infinite lines poison the spread, so everything is swept.
+    for poison in (np.nan, np.inf, -np.inf):
+        vals = smooth.copy()
+        vals[2, 5] = poison
+        assert _swept(vals, coords, 1.7, 0.06) == 47
+        _assert_brute(vals, coords)
+        _assert_brute(np.full((2, 48), poison), coords)
+
+
+def test_moreau_signed_zeros():
+    coords = np.linspace(-1.0, 1.0, 48)
+    # A -0.0 line keeps its sign: no other candidate reaches zero.
+    out = moreau_lines(np.full((2, 48), -0.0), coords, 1.7, 0.06)
+    assert out.tobytes() == np.full((2, 48), -0.0).tobytes()
+    mixed = np.where(np.arange(48) % 2, 0.0, -0.0)[None, :]
+    _assert_brute(mixed, coords)
+    # The one difference from a sweep in source order: on a tie of +0.0
+    # and -0.0 the candidate swept last wins, i.e. the larger offset and,
+    # at equal offsets, the source below.  Point 1 here ties its own -0.0
+    # with 1.0 - pen[1, 0] = +0.0 from below; the source-order sweep ends
+    # on its own value and gives -0.0.
+    out = moreau_lines(np.array([[1.0, -0.0, -5.0]]), np.array([0.0, 1.0, 2.0]), 1.0, 0.5)
+    assert out[0, 1] == 0.0 and not np.signbit(out[0, 1])
+    assert out.tolist() == [[1.0, 0.0, -1.0]]
+
+
+def _reference_convolution(values, axes, theta, weights, sign):
+    """sign = 1: the sup-convolution, one axis at a time, each output point
+    the np.max of all its candidates; sign = -1: the inf-convolution with
+    np.min."""
+    reduce = np.max if sign > 0 else np.min
+    out = values
+    for axis, (coords, w) in enumerate(zip(axes, weights)):
+        pen = w * (coords[:, None] - coords[None, :]) ** 2 / (2.0 * theta)
+        lines = np.moveaxis(out, axis, -1)
+        out = np.moveaxis(
+            np.stack([reduce(lines - sign * row, axis=-1) for row in pen], axis=-1), -1, axis
+        )
+    return out
+
+
+def test_convolutions_equal_the_per_axis_reference_bitwise():
+    """Criterion 10's grid and radii."""
+    energy = checks.benchmark_energy()
+    grid = SimplexGrid.build(energy, checks.BENCH_ELL, checks.BENCH_T, shape=(17, 17, 17, 32))
+    gvf = hjb_solve_backward(grid, checks.benchmark_cost(), energy, checks.BENCH_ELL)
+    weights = metric_weights_for_value(2)
+    U = gvf.values
+    for theta in (0.1, 0.05, 0.025):
+        up = sup_convolution(U, gvf.axes, theta, weights)
+        assert up.tobytes() == _reference_convolution(U, gvf.axes, theta, weights, 1).tobytes()
+        down = inf_convolution(U, gvf.axes, theta, weights)
+        assert down.tobytes() == _reference_convolution(U, gvf.axes, theta, weights, -1).tobytes()
 
 
 def _saved_grid(tmp_path):
