@@ -47,6 +47,9 @@ from .graphs import (
     MomentumState,
     ProbabilityWeight,
     ShapeError,
+    int_at_least,
+    is_int,
+    is_real,
     wasserstein_path,
 )
 from .hjb import (
@@ -113,14 +116,12 @@ class ExperimentConfig:
             raise DomainError(f"unsupported config schema {raw.get('schema')!r}")
 
         gsec = raw["graph"]
-        n = gsec["n"]
-        if not _count(n, 1):
-            raise DomainError("graph.n must be an int >= 1")
+        n = int_at_least(gsec["n"], 1, "graph.n")
         graph = Graph.from_edges(n, [tuple(e) for e in gsec["edges"]])
 
         esec = dict(raw.get("energy", {}))
         sigma = esec.pop("sigma", None)
-        if _number(sigma):
+        if is_real(sigma):
             sigma = np.full(n, float(sigma))
         elif sigma is not None:
             sigma = _vector(sigma, n, "energy.sigma")
@@ -170,7 +171,7 @@ class ExperimentConfig:
             rho_target = DensityState(rho=_vector(rho_target, n, "state.rho_target"))
 
         effective_seed = raw.get("seed", 0) if seed is None else seed
-        if isinstance(effective_seed, bool) or not isinstance(effective_seed, int):
+        if not is_int(effective_seed):
             raise DomainError("seed must be an int")
         effective_out = Path(out if out is not None else raw.get("out", "out"))
         echo = copy.deepcopy(raw)
@@ -206,43 +207,33 @@ class ExperimentConfig:
         return hjb_solve_backward(grid, self.cost, energy, self.ell)
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _count(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
 def _check_solver(s: dict) -> None:
     """Refuse a solver value out of its range, whichever subcommand would use it.
 
-    ``SdeConfig`` has already checked the ranges of t0, T, dt and
-    boundary_floor, but it compares a bool as 0 or 1.  The ranges of t_bar
-    and path_steps are ``bellman_gap``'s and ``wasserstein_path``'s; X and
-    rho_margin keep the grid's axes increasing and its densities interior.
-    NaN fails every comparison, so it is refused.
+    ``SdeConfig`` has already checked t0, T, dt and boundary_floor.  The
+    ranges of t_bar and path_steps are ``bellman_gap``'s and
+    ``wasserstein_path``'s; X and rho_margin keep the grid's axes increasing
+    and its densities interior.  NaN fails every comparison, so it is refused.
     """
     t_bar, shape, theta = s["t_bar"], s["grid_shape"], s["theta"]
     rules = {
-        **{key: (_number(s[key]), "a number") for key in ("t0", "T", "dt", "boundary_floor")},
-        "t_bar": (t_bar is None or _number(t_bar) and s["t0"] < t_bar <= s["T"],
+        "t_bar": (t_bar is None or is_real(t_bar) and s["t0"] < t_bar <= s["T"],
                   "null or a number in (t0, T]"),
         "grid_shape": (isinstance(shape, (list, tuple)) and len(shape) == 4
-                       and all(_count(v, 2) for v in shape), "four ints >= 2"),
-        "X": (_number(s["X"]) and 0.0 < s["X"] < np.inf, "a positive finite number"),
-        "rho_margin": (_number(s["rho_margin"]) and 0.0 < s["rho_margin"] < 0.5,
+                       and all(is_int(v) and v >= 2 for v in shape), "four ints >= 2"),
+        "X": (is_real(s["X"]) and 0.0 < s["X"] < np.inf, "a positive finite number"),
+        "rho_margin": (is_real(s["rho_margin"]) and 0.0 < s["rho_margin"] < 0.5,
                        "a number in (0, 1/2)"),
-        "n_paths": (_count(s["n_paths"], 1), "an int >= 1"),
-        "inner_paths": (s["inner_paths"] is None or _count(s["inner_paths"], 1),
-                        "null or an int >= 1"),
-        "budget": (_number(s["budget"]) and s["budget"] >= 1.0, "a number >= 1"),
+        "n_paths": (is_int(s["n_paths"]) and s["n_paths"] >= 1, "an int >= 1"),
+        "inner_paths": (s["inner_paths"] is None or is_int(s["inner_paths"])
+                        and s["inner_paths"] >= 1, "null or an int >= 1"),
+        "budget": (is_real(s["budget"]) and s["budget"] >= 1.0, "a number >= 1"),
         "theta": (isinstance(theta, (list, tuple)) and len(theta) > 0
-                  and all(_number(v) and 0.0 < v < np.inf for v in theta),
+                  and all(is_real(v) and 0.0 < v < np.inf for v in theta),
                   "a nonempty list of positive finite numbers"),
-        "path_steps": (_count(s["path_steps"], 8), "an int >= 8"),
-        "path_iters": (_count(s["path_iters"], 0), "an int >= 0"),
-        "escape_quota": (_number(s["escape_quota"]) and 0.0 <= s["escape_quota"] <= 1.0,
+        "path_steps": (is_int(s["path_steps"]) and s["path_steps"] >= 8, "an int >= 8"),
+        "path_iters": (is_int(s["path_iters"]) and s["path_iters"] >= 0, "an int >= 0"),
+        "escape_quota": (is_real(s["escape_quota"]) and 0.0 <= s["escape_quota"] <= 1.0,
                          "a number in [0, 1]"),
     }
     for key, (ok, allowed) in rules.items():
@@ -251,7 +242,7 @@ def _check_solver(s: dict) -> None:
 
 
 def _vector(value, n: int, name: str) -> np.ndarray:
-    if not (isinstance(value, list) and len(value) == n and all(map(_number, value))):
+    if not (isinstance(value, list) and len(value) == n and all(map(is_real, value))):
         raise ShapeError(f"{name} must be a list of numbers, one per vertex")
     return np.array(value, dtype=float)
 

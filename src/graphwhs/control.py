@@ -75,11 +75,20 @@ from .dynamics import (
     SdeConfig,
     _time_grid,
     draw_noise,
-    piece_index,
     run_rows,
 )
 from .energies import EnergySpec, gradient_arrays
-from .graphs import Array, DensityState, DomainError, MomentumState, ShapeError, fold_columns
+from .graphs import (
+    Array,
+    DensityState,
+    DomainError,
+    MomentumState,
+    ShapeError,
+    _readonly,
+    fold_columns,
+    int_at_least,
+    is_real,
+)
 
 QUADRATIC_CONTROL = "quadratic_control"
 BOUNDED_TRACKING = "bounded_tracking"
@@ -110,9 +119,9 @@ class CostSpec:
         object.__setattr__(self, "family", family)
         for key in ("control_coeff", "tracking_coeff", "bound", "terminal_weight",
                     "terminal_offset"):
-            # A bool would compare, and then be used, as 0 or 1.
-            if isinstance(getattr(self, key), (bool, np.bool_)):
-                raise DomainError(f"{key} must be a number, not a bool")
+            value = getattr(self, key)
+            if not is_real(value):
+                raise DomainError(f"{key} must be a number, not a bool: {value!r}")
         if not 0.0 < self.control_coeff < math.inf:
             raise DomainError("control_coeff must be positive and finite")
         weights = (self.tracking_coeff, self.bound, self.terminal_weight)
@@ -123,10 +132,9 @@ class CostSpec:
         for key in ("target_rho", "target_x"):
             target = getattr(self, key)
             if target is not None:
-                target = np.array(target, dtype=float)
+                target = _readonly(target)
                 if not np.isfinite(target).all():
                     raise DomainError(f"{key} must be finite")
-                target.setflags(write=False)
                 object.__setattr__(self, key, target)
 
     def _deviation2(self, rho: Array, x: Array) -> Array:
@@ -157,16 +165,11 @@ def _row_sum(a: Array) -> Array:
     return fold_columns(np.add, a) if a.shape[-1] < 8 else a.sum(axis=-1)
 
 
-def running_cost(spec: CostSpec, t, rho, x, V, control_term=None) -> float | Array:
-    """F(t, rho, x, V); accepts raw arrays with leading batch dimensions.
-
-    ``control_term``, when given, is c ||V||^2 already computed (``V`` is
-    then not read), for a caller whose V stays fixed over many calls.
-    """
+def running_cost(spec: CostSpec, t, rho, x, V) -> float | Array:
+    """F(t, rho, x, V); accepts raw arrays with leading batch dimensions."""
     rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
     x = np.asarray(getattr(x, "s", x), dtype=float)
-    if control_term is None:
-        control_term = spec.control_coeff * _row_sum(np.asarray(V, dtype=float) ** 2)
+    control_term = spec.control_coeff * _row_sum(np.asarray(V, dtype=float) ** 2)
     out = control_term + spec.state_cost(t, rho, x)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -287,8 +290,7 @@ def _cost_estimates(
     0), follows cfg.control, a ``ControlSignal`` (shared, or its rows of
     block i), and replays every path of the noise draw (common random
     numbers).  The left-rectangle running cost is summed over the nodes
-    ``run_rows`` yields; V is constant on each piece, so the control term
-    c ||V||^2 is computed once per piece.  ``terminal(rho, s)`` scores the
+    ``run_rows`` yields, from each node's V.  ``terminal(rho, s)`` scores the
     surviving final states.  Each estimate keeps its run's row state at the
     nodes ``marks``, taken before that node's step cost.  A run whose every
     path escaped gets its EscapeQuotaError in place of an estimate (see
@@ -297,13 +299,8 @@ def _cost_estimates(
     paths = noise.incs.shape[0]
     rho, s, alive, escape_time, total = (np.concatenate(part) for part in zip(*starts))
     streams = np.tile(noise.first_stream + np.arange(paths), len(starts))
-    signal = cfg.control
-    control_terms = cost.control_coeff * _row_sum(signal.values**2)
     times = _time_grid(cfg)[2]
-    steps = [
-        (t, dt_k, piece_index(signal.breakpoints, t))
-        for t, dt_k in zip(times[:-1].tolist(), np.diff(times).tolist())
-    ]
+    steps = list(zip(times[:-1].tolist(), np.diff(times).tolist()))
     saved = {}
     nodes = run_rows(cfg, rho, s, noise, streams, k0, alive, escape_time)
     for k, rho, s, V, alive, escape_time in nodes:
@@ -311,8 +308,8 @@ def _cost_estimates(
             # The run rebinds rho and s, so these stay as they are.
             saved[k] = (rho, s, alive.copy(), escape_time.copy(), total.copy())
         if k < len(steps):
-            t, dt_k, piece = steps[k]
-            total += dt_k * running_cost(cost, t, rho, s, V, control_terms[..., piece])
+            t, dt_k = steps[k]
+            total += dt_k * running_cost(cost, t, rho, s, V)
     states = [saved[k] for k in marks]
     out = []
     for lo in range(0, alive.size, paths):
@@ -341,7 +338,7 @@ def cost_functional(
     master_seed: int,
 ) -> ValueEstimate:
     """MC estimate of the expected running-plus-terminal cost of one control."""
-    n_paths = _int_at_least(n_paths, 1, "n_paths")
+    n_paths = int_at_least(n_paths, 1, "n_paths")
     if control is None:
         # The zero control moves and costs exactly what no control does.
         control = ControlSignal.constant(np.zeros(rho.n), t, cfg.T, 1.0)
@@ -491,12 +488,11 @@ def _read_class(control_class: dict, t: float, T: float) -> _ControlClass:
     if unknown:
         raise DomainError(f"unknown control class keys {sorted(unknown)}")
     ell = control_class.get("ell", 1.0)
-    is_number = type(ell) in (int, float) or isinstance(ell, np.number)
-    if not (is_number and 0.0 < ell < math.inf):
+    if not (is_real(ell) and 0.0 < ell < math.inf):
         raise DomainError("control class ell must be a positive number")
-    m = _int_at_least(control_class.get("m", 1), 1, "control class m")
-    sweeps = _int_at_least(control_class.get("sweeps", 2), 1, "control class sweeps")
-    iters = _int_at_least(control_class.get("golden_iters", 14), 0, "control class golden_iters")
+    m = int_at_least(control_class.get("m", 1), 1, "control class m")
+    sweeps = int_at_least(control_class.get("sweeps", 2), 1, "control class sweeps")
+    iters = int_at_least(control_class.get("golden_iters", 14), 0, "control class golden_iters")
     if "breakpoints" in control_class:
         bp = np.asarray(control_class["breakpoints"], dtype=float)
         if bp.ndim != 1 or bp.size < 2 or not (np.diff(bp) > 0.0).all():
@@ -506,12 +502,6 @@ def _read_class(control_class: dict, t: float, T: float) -> _ControlClass:
     else:
         bp = np.linspace(t, T, m + 1)
     return _ControlClass(bp, float(ell), sweeps, iters)
-
-
-def _int_at_least(value, low: int, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise DomainError(f"{name} must be an int >= {low}")
-    return int(value)
 
 
 def value_function_mc(
@@ -534,7 +524,7 @@ def value_function_mc(
     share increments through the fixed master seed.
     """
     klass = _read_class(control_class, t, cfg.T)
-    n_paths = _int_at_least(n_paths, 1, "n_paths")
+    n_paths = int_at_least(n_paths, 1, "n_paths")
     run_cfg = replace(cfg, t0=t)
     return _value_search(
         cost, run_cfg, [(rho.rho, x.s)], klass, draw_noise(run_cfg, master_seed, n_paths),
@@ -667,10 +657,10 @@ def bellman_gap(
     if shape.shape != (3,) or shape.dtype.kind not in "iu" or (shape < 1).any():
         raise DomainError("lattice_shape must be three positive ints")
     lattice_shape = tuple(shape.tolist())
-    n_paths = _int_at_least(n_paths, 1, "n_paths")
+    n_paths = int_at_least(n_paths, 1, "n_paths")
     if inner_paths is None:
         inner_paths = max(n_paths // 4, 200)
-    inner_paths = _int_at_least(inner_paths, 1, "inner_paths")
+    inner_paths = int_at_least(inner_paths, 1, "inner_paths")
     klass = _read_class(control_class, t, cfg.T)
 
     outer_class = dict(control_class, breakpoints=[t, t_bar, cfg.T])

@@ -49,7 +49,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .energies import EnergySpec, _gradient, dominant_array, gradient_arrays
-from .graphs import Array, DensityState, DomainError, MomentumState, ShapeError, fold_columns
+from .graphs import (
+    Array,
+    DensityState,
+    DomainError,
+    MomentumState,
+    ShapeError,
+    _readonly,
+    fold_columns,
+    int_at_least,
+    is_int,
+    is_real,
+)
 from .rng import RngStream, batch_increments
 
 
@@ -83,15 +94,15 @@ class SdeConfig:
     max_rejects: int = 10
 
     def __post_init__(self):
-        if not 0.0 <= self.t0 < self.T < math.inf:
+        if not (is_real(self.t0) and is_real(self.T) and 0.0 <= self.t0 < self.T < math.inf):
             raise DomainError("need 0 <= t0 < T < inf")
-        if not 0.0 < self.dt < math.inf:
+        if not (is_real(self.dt) and 0.0 < self.dt < math.inf):
             raise DomainError("dt must be positive and finite")
         n = self.energy.graph.n
-        if not 0.0 < self.boundary_floor < 1.0 / n:
+        if not (is_real(self.boundary_floor) and 0.0 < self.boundary_floor < 1.0 / n):
             raise DomainError("boundary_floor must lie in (0, 1/n)")
-        if not 0 <= self.max_rejects <= 10:
-            raise DomainError("max_rejects must lie in [0, 10]")
+        if not (is_int(self.max_rejects) and 0 <= self.max_rejects <= 10):
+            raise DomainError("max_rejects must be an int in [0, 10]")
         values = getattr(self.control, "values", None)
         if values is not None and np.shape(values)[-1] != n:
             raise ShapeError(f"control values must have {n} entries, one per vertex")
@@ -274,20 +285,18 @@ class ControlSignal:
     ell: float
 
     def __post_init__(self):
-        bp = np.array(self.breakpoints, dtype=float)
-        vals = np.array(self.values, dtype=float, ndmin=2)
+        bp = _readonly(self.breakpoints)
+        vals = _readonly(np.atleast_2d(self.values))
         if bp.ndim != 1 or vals.ndim > 3 or bp.size != vals.shape[-2] + 1:
             raise ShapeError("need one more breakpoint than control pieces")
         # Negated comparisons, so that NaN fails each check.
         if not (np.diff(bp) > 0.0).all():
             raise DomainError("breakpoints must be strictly increasing")
-        if not 0.0 < self.ell < math.inf:
-            raise DomainError("control radius must be positive and finite")
+        if not (is_real(self.ell) and 0.0 < self.ell < math.inf):
+            raise DomainError("control radius must be a positive finite number")
         norms = np.sqrt((vals**2).sum(axis=-1))
         if not (norms <= self.ell * (1.0 + 1e-12)).all():
             raise DomainError("control value outside the admissible ball")
-        bp.setflags(write=False)
-        vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -457,8 +466,9 @@ def simulate_batch(
     escape_quota: float = 0.01,
 ) -> list[Trajectory]:
     """Ensemble of paths on streams 0..n_paths-1, dropping at most escape_quota escapes."""
-    if n_paths < 1:
-        raise DomainError("need at least one path")
+    n_paths = int_at_least(n_paths, 1, "n_paths")
+    if not (is_real(escape_quota) and 0.0 <= escape_quota <= 1.0):
+        raise DomainError("escape_quota must be a number in [0, 1]")
     raw = batch_arrays(cfg, rho0, x0, n_paths, master_seed)
     alive = raw[6]
     escaped = int((~alive).sum())
@@ -492,8 +502,7 @@ def regularity_scan(
 
     Escaped paths are left out of the moments; EscapeQuotaError if none is left.
     """
-    if n_paths < 1:
-        raise DomainError("need at least one path")
+    n_paths = int_at_least(n_paths, 1, "n_paths")
     horizons = np.sort(np.asarray(horizons, dtype=float))[::-1]
     if horizons.size < 4:
         raise DomainError("need at least four horizons")

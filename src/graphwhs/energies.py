@@ -56,6 +56,8 @@ from .graphs import (
     _mean,
     _mean_dt,
     _mobility_laplacian,
+    _readonly,
+    is_real,
 )
 
 POLYNOMIAL_INTERACTION = "polynomial_interaction"
@@ -86,8 +88,8 @@ class EnergySpec:
         if variant not in VARIANTS:
             raise VariantError(f"unknown energy variant {self.variant!r}")
         object.__setattr__(self, "variant", variant)
-        if isinstance(self.fisher_coeff, (bool, np.bool_)):
-            raise DomainError("fisher_coeff must be a number, not a bool")
+        if not is_real(self.fisher_coeff):
+            raise DomainError(f"fisher_coeff must be a number, not a bool: {self.fisher_coeff!r}")
         if not 0.0 <= self.fisher_coeff < np.inf:
             raise DomainError("fisher_coeff must be nonnegative and finite")
         w = self.interaction
@@ -98,9 +100,7 @@ class EnergySpec:
             raise ShapeError(f"interaction matrix must be ({n}, {n})")
         if not np.array_equal(w, w.T):
             raise ShapeError("interaction matrix must be symmetric")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "interaction", w)
+        object.__setattr__(self, "interaction", _readonly(w))
         s = self.sigma
         if s is None:
             s = np.zeros(n)
@@ -109,16 +109,12 @@ class EnergySpec:
             raise ShapeError(f"sigma must have length {n}")
         if not np.all(np.isfinite(s)):
             raise DomainError("sigma must be finite")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "sigma", _readonly(s))
 
     @cached_property
     def edge_interaction(self) -> Array:
         """The interaction matrix with its entries off the edge set zeroed."""
-        wm = np.where(self.graph.omega > 0.0, self.interaction, 0.0)
-        wm.setflags(write=False)
-        return wm
+        return _readonly(np.where(self.graph.omega > 0.0, self.interaction, 0.0))
 
     @cached_property
     def zero_interaction(self) -> bool:

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -67,10 +68,28 @@ class DomainError(ValueError):
     pass
 
 
-def _readonly(a: Array) -> Array:
-    a = np.asarray(a, dtype=float)
+def _readonly(a, dtype=float) -> Array:
+    """A read-only copy of a; the caller's array stays writeable and unshared."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def is_real(value) -> bool:
+    """A real number, numpy's included, but not a bool, which would compare as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_int(value) -> bool:
+    """An int, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def int_at_least(value, low: int, name: str) -> int:
+    """value as an int; DomainError unless it is an int (not a bool) of at least low."""
+    if not (is_int(value) and value >= low):
+        raise DomainError(f"{name} must be an int >= {low}")
+    return int(value)
 
 
 def fold_columns(ufunc, a: Array) -> Array:
@@ -144,7 +163,7 @@ class Graph:
         om = np.zeros((n, n))
         seen = set()
         for i, j, w in edges:
-            if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in (i, j)):
+            if not (is_int(i) and is_int(j)):
                 raise GraphError(f"edge ({i!r}, {j!r}) needs integer vertex indices")
             if i == j:
                 raise GraphError("self-loops are not allowed")
@@ -198,13 +217,14 @@ class EdgeList(NamedTuple):
         degree = np.bincount(ii, minlength=n)
         starts = np.searchsorted(ii, np.arange(n))
         first = None if np.array_equal(starts, np.arange(ii.size)) else starts
+        ints = partial(_readonly, dtype=np.intp)
         folds = []
         for k in range(1, int(degree.max(initial=0))):
             verts = np.flatnonzero(degree > k)
-            folds.append((None if verts.size == n else _frozen(verts), _frozen(starts[verts] + k)))
+            folds.append((None if verts.size == n else ints(verts), ints(starts[verts] + k)))
         return cls(
-            n, _frozen(ii), _frozen(jj), _readonly(omega[ii, jj]), _frozen(np.lexsort((ii, jj))),
-            None if first is None else _frozen(first), tuple(folds),
+            n, ints(ii), ints(jj), _readonly(omega[ii, jj]), ints(np.lexsort((ii, jj))),
+            None if first is None else ints(first), tuple(folds),
         )
 
     def vertex_sum(self, terms: Array) -> Array:
@@ -226,12 +246,6 @@ class EdgeList(NamedTuple):
         diag = np.arange(self.n)
         L[..., diag, diag] = self.vertex_sum(a)
         return L
-
-
-def _frozen(a: Array) -> Array:
-    a = np.array(a, dtype=np.intp)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

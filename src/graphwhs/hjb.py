@@ -41,7 +41,10 @@ from .graphs import (
     DensityState,
     DomainError,
     MomentumState,
+    _readonly,
     frechet_project,
+    int_at_least,
+    is_real,
 )
 
 
@@ -98,9 +101,9 @@ class TruncationFn:
     def __post_init__(self):
         # R >= 1 keeps the decay plateau R^(-beta) at or below the inner
         # plateau 1, so the profile is genuinely non-increasing.
-        if not 1.0 <= self.R < np.inf:
+        if not (is_real(self.R) and 1.0 <= self.R < np.inf):
             raise DomainError("cutoff level must be finite and at least 1")
-        if not 0.0 < self.beta < 1.0:
+        if not (is_real(self.beta) and 0.0 < self.beta < 1.0):
             raise DomainError("decay exponent must lie in (0, 1)")
 
     @property
@@ -242,9 +245,7 @@ class SimplexGrid:
             steps = np.diff(ax)
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
                 raise DomainError(f"{name} must be uniform")
-            ax = ax.copy()
-            ax.setflags(write=False)
-            object.__setattr__(self, name, ax)
+            object.__setattr__(self, name, _readonly(ax))
         if self.rho1_axis[0] <= 0.0 or self.rho1_axis[-1] >= 1.0:
             raise DomainError("density axis must stay strictly interior")
 
@@ -282,7 +283,7 @@ class SimplexGrid:
         if energy.graph.n != 2:
             raise DomainError("the grid solver is specialized to two vertices")
         # shape lists spatial axes first, time layers last.
-        nr, n1, n2, nt = (int(v) for v in shape)
+        nr, n1, n2, nt = (int_at_least(v, 2, "grid shape entry") for v in shape)
         grid = cls(
             t_axis=np.linspace(t0, T, nt),
             rho1_axis=np.linspace(rho_margin, 1.0 - rho_margin, nr),
@@ -305,7 +306,7 @@ def _drift_fields(grid: SimplexGrid, energy: EnergySpec):
 
 
 def _cfl_record(grid: SimplexGrid, energy: EnergySpec, ell: float, a_r, b1, b2) -> dict:
-    if not 0.0 < ell < np.inf:
+    if not (is_real(ell) and 0.0 < ell < np.inf):
         raise DomainError("control radius ell must be positive and finite")
     dt, hr, h1, h2 = grid.spacings
     sig2 = energy.sigma**2
@@ -386,9 +387,7 @@ class GridValueFunction:
             raise DomainError("value array does not match the grid shape")
         if not np.isfinite(vals).all():
             raise DomainError("value function contains non-finite entries")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _readonly(vals))
 
     @property
     def axes(self):
@@ -517,8 +516,11 @@ def hjb_residual(gvf: GridValueFunction, points, probe_tol: float | None = None)
     cells from every boundary.  The probes perturb the discrete second-order
     jet by +/- eps * identity, emulating smooth functions touching the
     solution from above and below; violations are counted against
-    ``probe_tol`` (default: the max defect itself, a self-calibrated
-    truncation estimate).  Diagnostic evidence, not a proof: only two test
+    ``probe_tol`` (default: the max defect itself).  A probe shifts a defect
+    by +/- eps * sum(sigma^2) in the direction away from the violation, so
+    under the default no probe can pass it and both counts are 0 by
+    construction: they mean something only with an explicit ``probe_tol``
+    below the max defect.  Diagnostic evidence, not a proof: only two test
     functions per point are probed.
     """
     if gvf.cost_spec is None or gvf.energy is None:

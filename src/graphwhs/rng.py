@@ -173,19 +173,6 @@ class RngStream:
         """Standard normals ``start``..``start+count-1`` of the stream (flat order)."""
         return _raw_to_normals(_words(self.master_seed, self.stream_id, start, count))
 
-    def brownian_increments(self, n_steps: int, n_dim: int, dt: float, substeps: int = 1) -> Array:
-        """Increments of an ``n_dim``-dimensional Brownian path on ``n_steps`` steps.
-
-        Each step sums ``substeps`` base draws of variance ``dt/substeps``, so
-        a run at (n_steps, substeps=m) and one at (m*n_steps, substeps=1) see
-        the same Brownian path.
-        """
-        if n_steps < 0 or substeps < 1:
-            raise ValueError("need n_steps >= 0 and substeps >= 1")
-        return batch_increments(
-            self.master_seed, 1, n_steps, n_dim, dt, substeps, self.stream_id
-        )[0]
-
     def bridge_normal(self, step_index: int, slot: int, n_dim: int) -> Array:
         """Standard-normal vector for the ``slot``-th split inside step ``step_index``."""
         # A negative step_index gives a negative word index, which _words rejects.
@@ -204,11 +191,14 @@ def batch_increments(
     substeps: int = 1,
     first_stream: int = 0,
 ) -> Array:
-    """Increments for streams first_stream..first_stream+n_paths-1.
+    """Brownian increments for streams first_stream..first_stream+n_paths-1.
 
-    Shape (n_paths, n_steps, n_dim).  Row p is bit-identical to
-    ``RngStream(master_seed, first_stream + p).brownian_increments(...)``;
-    the batched version just amortizes the inverse-CDF call.
+    Shape (n_paths, n_steps, n_dim).  Row p is the ``n_dim``-dimensional
+    Brownian path of stream first_stream + p: its base normals in order,
+    whatever the batch, so it equals the one-row batch of that stream bit
+    for bit.  Each step sums ``substeps`` base draws of variance
+    ``dt/substeps``, so (n_steps, substeps=m) and (m*n_steps, substeps=1)
+    see the same Brownian path.
     """
     words = n_steps * substeps * n_dim
     raw = np.empty((n_paths, words), dtype=np.uint64)

@@ -47,6 +47,7 @@ from .graphs import (
     ShapeError,
     _mean,
     _mean_dt,
+    _readonly,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -70,9 +71,7 @@ class WaveState:
             raise VacuumError("wave component below the vacuum floor")
         if abs(amp2.sum() - 1.0) > 1e-9:
             raise DomainError(f"wave mass must be 1 (got {amp2.sum()!r})")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", _readonly(u, complex))
 
     @property
     def n(self) -> int:

@@ -226,6 +226,32 @@ def test_ensemble_escape_quota():
         simulate_batch(escape_cfg(), rho0, x0, 3, 0, 1.0)
 
 
+@pytest.mark.parametrize("quota", [math.nan, -0.1, 1.5, True, "0.5"])
+def test_ensemble_refuses_an_escape_quota_outside_0_1(quota):
+    # "escaped > quota * n_paths" is False for every count at NaN, so a NaN
+    # quota would keep any survivors: here all 3 paths escape.
+    with pytest.raises(DomainError, match="escape_quota"):
+        simulate_batch(escape_cfg(), *escape_start(), n_paths=3, master_seed=0,
+                       escape_quota=quota)
+
+
+def forbid_noise(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("paths were simulated before n_paths was checked")
+
+    monkeypatch.setattr("graphwhs.dynamics.batch_arrays", no_simulation)
+
+
+@pytest.mark.parametrize("paths", [0, True, 2.5, "4"])
+def test_ensemble_and_scan_refuse_a_bad_path_count_before_any_noise(paths, monkeypatch):
+    forbid_noise(monkeypatch)
+    cfg = SdeConfig(energy=pair_spec(), T=0.1, dt=1e-3)
+    with pytest.raises(DomainError, match="n_paths"):
+        simulate_batch(cfg, *start(), n_paths=paths, master_seed=0)
+    with pytest.raises(DomainError, match="n_paths"):
+        regularity_scan(cfg, *start(), [0.08, 0.04, 0.02, 0.01], n_paths=paths)
+
+
 def test_step_splitting_rescues_a_tight_step():
     # One long step would cross the floor, but the flow turns before it:
     # a strong opposing potential decelerates the leftward drift.  The
@@ -256,6 +282,23 @@ def test_config_validation():
         SdeConfig(energy=spec, boundary_floor=0.6)
     with pytest.raises(DomainError):
         SdeConfig(energy=spec, max_rejects=11)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("t0", False), ("T", True), ("dt", True), ("boundary_floor", True), ("T", "1.0"),
+    ("dt", None), ("max_rejects", True), ("max_rejects", 2.5),
+])
+def test_config_refuses_a_bool_or_a_non_number(key, bad):
+    # A bool would compare, and then be used, as 0 or 1.
+    with pytest.raises(DomainError):
+        SdeConfig(energy=pair_spec(), **{key: bad})
+
+
+def test_control_signal_refuses_a_bool_radius():
+    with pytest.raises(DomainError, match="control radius"):
+        ControlSignal.constant([0.5, -0.5], 0.0, 0.1, True)
+    with pytest.raises(DomainError, match="control radius"):
+        ControlSignal([0.0, 0.1], [[0.0, 0.0]], "1.0")
 
 
 def test_config_rejects_a_control_off_the_graph_or_the_horizon():

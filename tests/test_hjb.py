@@ -64,7 +64,7 @@ def tracking_cost() -> CostSpec:
 # ---------------------------------------------------------------------------
 
 def test_truncation_guards():
-    for R in (0.9, np.nan, np.inf):
+    for R in (0.9, np.nan, np.inf, True, "2.0"):
         with pytest.raises(DomainError):
             TruncationFn(R=R)
     with pytest.raises(DomainError):
@@ -208,7 +208,11 @@ def test_grid_validation():
             t_axis=np.array([1.0, 0.5]), rho1_axis=np.linspace(0.1, 0.9, 5),
             x1_axis=np.linspace(-1, 1, 5), x2_axis=np.linspace(-1, 1, 5), cfl={},
         )
-    grid = SimplexGrid.build(energy, 1.0, 0.25, shape=(9, 9, 9, 16))
+    # int() would build (8, 5, 5, 5) from (5.9, 5, 5, 8.7).
+    for shape in ((5.9, 5, 5, 8.7), (5, 5, 5, True), (5, 5, 5, 1)):
+        with pytest.raises(DomainError, match="grid shape"):
+            SimplexGrid.build(energy, 1.0, 0.25, shape=shape)
+    grid = SimplexGrid.build(energy, 1.0, 0.25, shape=(9, 9, 9, np.int64(16)))
     # shape lists time first once built, matching the value array layout.
     assert grid.shape == (16, 9, 9, 9)
     assert all(s > 0 for s in grid.spacings)
@@ -249,7 +253,7 @@ def test_solver_guards():
     coarse = SimplexGrid.build(energy, 1.0, 0.25, shape=(9, 9, 9, 4))
     with pytest.raises(CflError, match="monotonicity"):
         hjb_solve_backward(coarse, CostSpec(), energy, 1.0)
-    for ell in (0.0, -1.0, np.nan, np.inf):
+    for ell in (0.0, -1.0, np.nan, np.inf, True):
         with pytest.raises(DomainError, match="ell must be positive"):
             SimplexGrid.build(energy, ell, 0.25, shape=(9, 9, 9, 16))
         with pytest.raises(DomainError, match="ell must be positive"):

@@ -36,15 +36,15 @@ def test_batch_rows_match_single_streams_bitwise():
     inc = batch_increments(master_seed=99, n_paths=5, n_steps=12, n_dim=3, dt=0.01,
                            first_stream=2)
     for p in range(5):
-        single = RngStream(99, 2 + p).brownian_increments(12, 3, 0.01)
+        single = batch_increments(99, 1, 12, 3, 0.01, first_stream=2 + p)[0]
         assert np.array_equal(inc[p], single)
 
 
 def test_coarse_increment_is_sum_of_fine():
     # Same Brownian path seen at two resolutions: the coarse step must be
     # the plain float sum of the four fine steps it covers.
-    coarse = RngStream(7, 0).brownian_increments(5, 2, dt=0.2, substeps=4)
-    fine = RngStream(7, 0).brownian_increments(20, 2, dt=0.05, substeps=1)
+    coarse = batch_increments(7, 1, 5, 2, dt=0.2, substeps=4, first_stream=0)[0]
+    fine = batch_increments(7, 1, 20, 2, dt=0.05, substeps=1, first_stream=0)[0]
     assert np.array_equal(coarse, fine.reshape(5, 4, 2).sum(axis=1))
 
 
