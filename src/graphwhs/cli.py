@@ -273,9 +273,7 @@ def _publish(cfg: ExperimentConfig, command: str, writer) -> Path:
         "config": cfg.raw,
         "artifacts": artifacts,
     }
-    with open(target / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump(target / "manifest.json", manifest)
     click.echo(f"wrote {target}")
     return target
 

@@ -20,6 +20,10 @@ solver, the Monte-Carlo layer and the checks share.  The families:
 * bounded_tracking: G = b (1 - exp(-||x - x*||^2 - ||rho - rho*||^2)) and a
   saturating terminal cost, so F and h are uniformly bounded.
 
+As in ``energies``, a function of one state takes a ``DensityState`` and a
+``MomentumState`` (``legendre_fhat``, ``hamiltonian``) and a batch function
+takes (..., n) arrays (``running_cost``, ``CostSpec``'s costs).
+
 Value estimates come from pathwise Monte Carlo over a parameterized control
 class (an upper approximation of the adapted-control infimum), optimized
 with common random numbers: every candidate reuses the same increment
@@ -165,29 +169,27 @@ def _row_sum(a: Array) -> Array:
     return fold_columns(np.add, a) if a.shape[-1] < 8 else a.sum(axis=-1)
 
 
-def running_cost(spec: CostSpec, t, rho, x, V) -> float | Array:
-    """F(t, rho, x, V); accepts raw arrays with leading batch dimensions."""
-    rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
-    x = np.asarray(getattr(x, "s", x), dtype=float)
+def running_cost(spec: CostSpec, t, rho: Array, x: Array, V: Array) -> float | Array:
+    """F(t, rho, x, V) for (..., n) state and control arrays."""
     control_term = spec.control_coeff * _row_sum(np.asarray(V, dtype=float) ** 2)
     out = control_term + spec.state_cost(t, rho, x)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def legendre_fhat(spec: CostSpec, t, rho, x, q, ell: float) -> float:
+def legendre_fhat(
+    spec: CostSpec, t, rho: DensityState, x: MomentumState, q, ell: float
+) -> float:
     """sup over the control ball of <q, V> - F(t, rho, x, V)."""
-    if not 0.0 < ell < math.inf:
+    if not (is_real(ell) and 0.0 < ell < math.inf):
         raise DomainError("ball radius must be positive and finite")
-    rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
-    x = np.asarray(getattr(x, "s", x), dtype=float)
     q = np.asarray(q, dtype=float)
     qn = float(np.sqrt((q**2).sum()))
-    return float(fhat_norm(qn, spec.control_coeff, ell)) - float(spec.state_cost(t, rho, x))
+    return float(fhat_norm(qn, spec.control_coeff, ell)) - float(spec.state_cost(t, rho.rho, x.s))
 
 
-def _drift_pairing(energy: EnergySpec, rho: Array, x: Array, p, q, Q) -> float:
+def _drift_pairing(energy: EnergySpec, rho: DensityState, x: MomentumState, p, q, Q) -> float:
     """<p, dH0/dx> - <q, dH0/drho> + 1/2 tr(sigma sigma^T Q)."""
-    d_rho, d_x = gradient_arrays(energy, rho, x)
+    d_rho, d_x = gradient_arrays(energy, rho.rho, x.s)
     quad = 0.5 * float(energy.sigma**2 @ np.diag(np.asarray(Q)))
     return float(np.asarray(p) @ d_x) - float(np.asarray(q) @ d_rho) + quad
 
@@ -196,22 +198,18 @@ def hamiltonian(
     cost: CostSpec,
     energy: EnergySpec,
     t,
-    rho,
-    x,
+    rho: DensityState,
+    x: MomentumState,
     p,
     q,
     Q: Array,
     ell: float,
 ) -> float:
     """<p, dH0/dx> - <q, dH0/drho> + 1/2 tr(sigma sigma^T Q) - Fhat(q)."""
-    rho_arr = np.asarray(getattr(rho, "rho", rho), dtype=float)
-    x_arr = np.asarray(getattr(x, "s", x), dtype=float)
     Q = np.asarray(Q, dtype=float)
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ShapeError("Q must be symmetric")
-    return _drift_pairing(energy, rho_arr, x_arr, p, q, Q) - legendre_fhat(
-        cost, t, rho_arr, x_arr, q, ell
-    )
+    return _drift_pairing(energy, rho, x, p, q, Q) - legendre_fhat(cost, t, rho, x, q, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import warnings
@@ -118,6 +117,8 @@ class Graph:
     omega: Array
 
     def __post_init__(self):
+        if not is_int(self.n):
+            raise GraphError(f"vertex count must be an int, not {self.n!r}")
         om = np.asarray(self.omega, dtype=float)
         if om.shape != (self.n, self.n):
             raise ShapeError(f"weight matrix must be ({self.n}, {self.n})")
@@ -175,21 +176,6 @@ class Graph:
             seen.add(key)
             om[i, j] = om[j, i] = float(w)
         return cls(n=n, omega=om)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        """Parse ``{"n": int, "edges": [[i, j, weight], ...]}`` (0-based)."""
-        doc = json.loads(text)
-        return cls.from_edges(int(doc["n"]), [tuple(e) for e in doc["edges"]])
-
-    @classmethod
-    def load(cls, path) -> "Graph":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-
-    def to_json(self) -> str:
-        doc = {"n": self.n, "edges": [[i, j, self.omega[i, j]] for i, j in self.edges]}
-        return json.dumps(doc)
 
 
 class EdgeList(NamedTuple):

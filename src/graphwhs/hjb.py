@@ -16,6 +16,8 @@ the projected and raw density gradients of phi(H0) are interchangeable
 inside the mixed transport pairing; `truncation_identity_check` measures
 exactly that cancellation.  The rescaled Hamiltonian of
 `truncated_hamiltonian` agrees with the plain one wherever phi' = 0.
+The pointwise functions take a ``DensityState`` and a ``MomentumState``;
+the grid solver works on arrays of nodes.
 
 Sup-/inf-convolutions are separable Moreau envelopes over the grid metric
 |t|^2 + ||rho||^2 + ||x||^2; they bound the input from above/below and are
@@ -154,17 +156,11 @@ def truncation_identity_check(
     return abs(lhs - rhs)
 
 
-def _cutoff_state(energy: EnergySpec, tr: TruncationFn, rho, x):
+def _cutoff_state(energy: EnergySpec, tr: TruncationFn, rho: DensityState, x: MomentumState):
     """phi(H0), its x-gradient and x-Hessian."""
-    rho_arr = np.asarray(getattr(rho, "rho", rho), dtype=float)
-    x_arr = np.asarray(getattr(x, "s", x), dtype=float)
-    h0 = float(dominant_array(energy, rho_arr, x_arr))
+    h0 = float(dominant_array(energy, rho.rho, x.s))
     phi0, phi1, phi2 = phi_eval(tr, h0)
-    grads = energy_gradients(
-        energy,
-        rho if isinstance(rho, DensityState) else DensityState(rho=rho_arr),
-        x if isinstance(x, MomentumState) else MomentumState(s=x_arr),
-    )
+    grads = energy_gradients(energy, rho, x)
     dphi_x = phi1 * grads.d_x
     hess_phi = phi2 * np.outer(grads.d_x, grads.d_x) + phi1 * grads.hess_x
     return h0, phi0, dphi_x, hess_phi
@@ -175,20 +171,20 @@ def fhat_R(
     energy: EnergySpec,
     tr: TruncationFn,
     t,
-    rho,
-    x,
+    rho: DensityState,
+    x: MomentumState,
     q: Array,
     U_value: float,
     ell: float,
 ) -> float:
     """sup over the control ball of <q - U dphi/dx, V> - phi(H0) F(t,rho,x,V)."""
+    if not (is_real(ell) and 0.0 < ell < np.inf):
+        raise DomainError("ball radius must be positive and finite")
     _, phi0, dphi_x, _ = _cutoff_state(energy, tr, rho, x)
     w = np.asarray(q, dtype=float) - U_value * dphi_x
-    rho_arr = np.asarray(getattr(rho, "rho", rho), dtype=float)
-    x_arr = np.asarray(getattr(x, "s", x), dtype=float)
     wn = float(np.sqrt((w**2).sum()))
     return float(fhat_norm(wn, phi0 * spec.control_coeff, ell)) - phi0 * float(
-        spec.state_cost(t, rho_arr, x_arr)
+        spec.state_cost(t, rho.rho, x.s)
     )
 
 
@@ -197,8 +193,8 @@ def truncated_hamiltonian(
     energy: EnergySpec,
     tr: TruncationFn,
     t,
-    rho,
-    x,
+    rho: DensityState,
+    x: MomentumState,
     U_value: float,
     p: Array,
     q: Array,
@@ -209,12 +205,10 @@ def truncated_hamiltonian(
     h0, phi0, dphi_x, hess_phi = _cutoff_state(energy, tr, rho, x)
     if h0 >= 2.0 * tr.R:
         raise DomainError("state lies outside the cutoff domain (H0 >= 2R)")
-    rho_arr = np.asarray(getattr(rho, "rho", rho), dtype=float)
-    x_arr = np.asarray(getattr(x, "s", x), dtype=float)
     q = np.asarray(q, dtype=float)
     Q = np.asarray(Q, dtype=float)
     sig2 = energy.sigma**2
-    value = _drift_pairing(energy, rho_arr, x_arr, p, q, Q)
+    value = _drift_pairing(energy, rho, x, p, q, Q)
     value -= float(sig2 @ (dphi_x * q)) / phi0
     value -= U_value * (
         0.5 * float(sig2 @ np.diag(hess_phi)) - float(sig2 @ dphi_x**2) / phi0
@@ -227,44 +221,46 @@ def truncated_hamiltonian(
 # Grid, solver, residuals
 # ---------------------------------------------------------------------------
 
+# Each grid axis's key in metadata.json, in value-array order.
+AXIS_NAMES = ("t", "rho1", "x1", "x2")
+
+
 @dataclass(frozen=True)
 class SimplexGrid:
-    """Uniform tensor grid over (t, rho_1, x_1, x_2) for two vertices."""
+    """Uniform tensor grid over (t, rho_1, x_1, x_2) for two vertices.
 
-    t_axis: Array
-    rho1_axis: Array
-    x1_axis: Array
-    x2_axis: Array
+    ``axes`` holds the four read-only coordinate vectors in value-array
+    order, the axes that ``AXIS_NAMES`` names.
+    """
+
+    axes: tuple
     cfl: dict
 
     def __post_init__(self):
-        for name in ("t_axis", "rho1_axis", "x1_axis", "x2_axis"):
-            ax = np.asarray(getattr(self, name), dtype=float)
+        if len(self.axes) != len(AXIS_NAMES):
+            raise DomainError(f"the grid needs {len(AXIS_NAMES)} axes {AXIS_NAMES}")
+        axes = tuple(_readonly(ax) for ax in self.axes)
+        for name, ax in zip(AXIS_NAMES, axes):
             if ax.ndim != 1 or ax.size < 2 or np.any(np.diff(ax) <= 0.0):
-                raise DomainError(f"{name} must be increasing with >= 2 points")
+                raise DomainError(f"axis {name} must be increasing with >= 2 points")
             steps = np.diff(ax)
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-                raise DomainError(f"{name} must be uniform")
-            object.__setattr__(self, name, _readonly(ax))
-        if self.rho1_axis[0] <= 0.0 or self.rho1_axis[-1] >= 1.0:
+                raise DomainError(f"axis {name} must be uniform")
+        if axes[1][0] <= 0.0 or axes[1][-1] >= 1.0:
             raise DomainError("density axis must stay strictly interior")
+        object.__setattr__(self, "axes", axes)
 
     @property
     def spacings(self) -> tuple[float, float, float, float]:
-        return (
-            float(self.t_axis[1] - self.t_axis[0]),
-            float(self.rho1_axis[1] - self.rho1_axis[0]),
-            float(self.x1_axis[1] - self.x1_axis[0]),
-            float(self.x2_axis[1] - self.x2_axis[0]),
-        )
+        return tuple(float(ax[1] - ax[0]) for ax in self.axes)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
-        return (self.t_axis.size, self.rho1_axis.size, self.x1_axis.size, self.x2_axis.size)
+        return tuple(ax.size for ax in self.axes)
 
     def nodes(self):
         """Dense (nr, n1, n2, 2) density and momentum node arrays."""
-        RR, X1, X2 = np.meshgrid(self.rho1_axis, self.x1_axis, self.x2_axis, indexing="ij")
+        RR, X1, X2 = np.meshgrid(*self.axes[1:], indexing="ij")
         rho_nodes = np.stack([RR, 1.0 - RR], axis=-1)
         x_nodes = np.stack([X1, X2], axis=-1)
         return rho_nodes, x_nodes
@@ -284,13 +280,13 @@ class SimplexGrid:
             raise DomainError("the grid solver is specialized to two vertices")
         # shape lists spatial axes first, time layers last.
         nr, n1, n2, nt = (int_at_least(v, 2, "grid shape entry") for v in shape)
-        grid = cls(
-            t_axis=np.linspace(t0, T, nt),
-            rho1_axis=np.linspace(rho_margin, 1.0 - rho_margin, nr),
-            x1_axis=np.linspace(-X, X, n1),
-            x2_axis=np.linspace(-X, X, n2),
-            cfl={},
+        axes = (
+            np.linspace(t0, T, nt),
+            np.linspace(rho_margin, 1.0 - rho_margin, nr),
+            np.linspace(-X, X, n1),
+            np.linspace(-X, X, n2),
         )
+        grid = cls(axes=axes, cfl={})
         record = _cfl_record(grid, energy, ell, *_drift_fields(grid, energy))
         object.__setattr__(grid, "cfl", record)
         return grid
@@ -391,8 +387,7 @@ class GridValueFunction:
 
     @property
     def axes(self):
-        g = self.grid
-        return (g.t_axis, g.rho1_axis, g.x1_axis, g.x2_axis)
+        return self.grid.axes
 
     def evaluate(self, t: float, rho1: float, x1: float, x2: float) -> float:
         """Multilinear interpolant at one point; ``ValueError`` outside the grid."""
@@ -406,12 +401,7 @@ class GridValueFunction:
         meta = {
             "schema": ARTIFACT_SCHEMA,
             "shape": list(self.grid.shape),
-            "axes": {
-                "t": self.grid.t_axis.tolist(),
-                "rho1": self.grid.rho1_axis.tolist(),
-                "x1": self.grid.x1_axis.tolist(),
-                "x2": self.grid.x2_axis.tolist(),
-            },
+            "axes": {name: ax.tolist() for name, ax in zip(AXIS_NAMES, self.axes)},
             "spacings": list(self.grid.spacings),
             "cfl": self.cfl,
             "ell": self.ell,
@@ -444,11 +434,7 @@ class GridValueFunction:
                 f"{VALUES_FILE} has shape {list(values.shape)}, metadata says {meta['shape']}"
             )
         grid = SimplexGrid(
-            t_axis=np.asarray(meta["axes"]["t"]),
-            rho1_axis=np.asarray(meta["axes"]["rho1"]),
-            x1_axis=np.asarray(meta["axes"]["x1"]),
-            x2_axis=np.asarray(meta["axes"]["x2"]),
-            cfl=meta["cfl"],
+            axes=tuple(meta["axes"][name] for name in AXIS_NAMES), cfl=meta["cfl"]
         )
         return cls(
             grid=grid,
@@ -481,12 +467,13 @@ def hjb_solve_backward(
         )
     rho_nodes, x_nodes = grid.nodes()
     sig2 = energy.sigma**2
-    nt = grid.t_axis.size
+    times = grid.axes[0]
+    nt = times.size
     values = np.empty(grid.shape)
     values[nt - 1] = spec.terminal_cost(rho_nodes, x_nodes)
     # G(t, rho, x) is evaluated once: neither cost family's state cost
     # depends on t.
-    g_field = spec.state_cost(float(grid.t_axis[-1]), rho_nodes, x_nodes)
+    g_field = spec.state_cost(float(times[-1]), rho_nodes, x_nodes)
     for k in range(nt - 2, -1, -1):
         values[k] = hjb_layer(
             values[k + 1], a_r, b1, b2, g_field, sig2[0], sig2[1],
@@ -529,6 +516,7 @@ def hjb_residual(gvf: GridValueFunction, points, probe_tol: float | None = None)
     U = gvf.values
     nt, nr, n1, n2 = U.shape
     dt, hr, h1, h2 = gvf.grid.spacings
+    times, rho1, x1, x2 = gvf.axes
     lims = (nt, nr, n1, n2)
     if np.any(pts < 2) or np.any(pts >= np.array(lims) - 2):
         raise DomainError("sample points must sit >= 2 cells inside the grid")
@@ -550,11 +538,9 @@ def hjb_residual(gvf: GridValueFunction, points, probe_tol: float | None = None)
         ) / (4.0 * h1 * h2)
         Q = np.array([[d11, d12], [d12, d22]])
         p = np.array([0.5 * du_dr, -0.5 * du_dr])
-        rho = DensityState(rho=np.array([gvf.grid.rho1_axis[i], 1.0 - gvf.grid.rho1_axis[i]]))
-        x = MomentumState(s=np.array([gvf.grid.x1_axis[j], gvf.grid.x2_axis[l]]))
-        H = hamiltonian(
-            gvf.cost_spec, gvf.energy, float(gvf.grid.t_axis[k]), rho, x, p, q, Q, gvf.ell
-        )
+        rho = DensityState(rho=np.array([rho1[i], 1.0 - rho1[i]]))
+        x = MomentumState(s=np.array([x1[j], x2[l]]))
+        H = hamiltonian(gvf.cost_spec, gvf.energy, float(times[k]), rho, x, p, q, Q, gvf.ell)
         resids[row] = du_dt + H
     max_abs = float(np.abs(resids).max())
     tol = probe_tol if probe_tol is not None else max_abs

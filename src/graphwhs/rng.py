@@ -32,6 +32,8 @@ import math
 
 import numpy as np
 
+from .graphs import int_at_least
+
 Array = np.ndarray
 
 # Bridge slots reserved per nominal step (one normal vector each).  Binary
@@ -200,6 +202,9 @@ def batch_increments(
     ``dt/substeps``, so (n_steps, substeps=m) and (m*n_steps, substeps=1)
     see the same Brownian path.
     """
+    n_paths = int_at_least(n_paths, 0, "n_paths")
+    n_steps = int_at_least(n_steps, 0, "n_steps")
+    substeps = int_at_least(substeps, 1, "substeps")
     words = n_steps * substeps * n_dim
     raw = np.empty((n_paths, words), dtype=np.uint64)
     for p in range(n_paths):

@@ -243,8 +243,8 @@ def test_running_cost_matches_reference_bitwise(n, family):
 
 def test_fhat_frozen_values():
     spec = plain_cost()
-    rho = np.array([0.5, 0.5])
-    x = np.zeros(2)
+    rho = DensityState(rho=np.array([0.5, 0.5]))
+    x = MomentumState(s=np.zeros(2))
     # ||q|| = 1 sits exactly on the switch 2 c ell; both branches give 1/2.
     assert legendre_fhat(spec, 0.0, rho, x, np.array([0.6, 0.8]), 1.0) == pytest.approx(
         0.5, rel=1e-15
@@ -252,19 +252,21 @@ def test_fhat_frozen_values():
     assert legendre_fhat(spec, 0.0, rho, x, np.array([3.0, 4.0]), 1.0) == pytest.approx(
         4.5, rel=1e-15
     )
-    for ell in (0.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            legendre_fhat(spec, 0.0, rho, x, np.zeros(2), ell)
+    # A bool radius would compare as 1.
+    for ell in (0.0, -1.0, math.nan, math.inf, True, "1.0"):
+        with pytest.raises(DomainError, match="ball radius"):
+            legendre_fhat(spec, 0.0, rho, x, np.array([3.0, 0.0]), ell)
     # The state part enters with a minus sign and no transform.
     tracked = CostSpec(tracking_coeff=1.0, target_x=np.zeros(2))
-    shift = legendre_fhat(tracked, 0.0, rho, np.array([1.0, -1.0]), np.array([3.0, 4.0]), 1.0)
+    off = MomentumState(s=np.array([1.0, -1.0]))
+    shift = legendre_fhat(tracked, 0.0, rho, off, np.array([3.0, 4.0]), 1.0)
     assert shift == pytest.approx(4.5 - 2.0, rel=1e-14)
 
 
 def test_fhat_on_norms_matches_vector_form():
     spec = plain_cost(c=0.7)
-    rho = np.array([0.5, 0.5])
-    x = np.zeros(2)
+    rho = DensityState(rho=np.array([0.5, 0.5]))
+    x = MomentumState(s=np.zeros(2))
     qn = np.array([0.0, 0.3, 1.4, 1.4000001, 5.0])
     ell = 1.0
     table = fhat_norm(qn, spec.control_coeff, ell)
@@ -283,8 +285,8 @@ def test_fhat_on_norms_matches_vector_form():
 
 def test_fhat_lipschitz_in_q():
     spec = plain_cost(c=0.4)
-    rho = np.array([0.5, 0.5])
-    x = np.zeros(2)
+    rho = DensityState(rho=np.array([0.5, 0.5]))
+    x = MomentumState(s=np.zeros(2))
     ell = 1.3
     rng = np.random.default_rng(42)
     for _ in range(300):
@@ -305,15 +307,15 @@ def test_fhat_lipschitz_in_q():
 @settings(max_examples=80, deadline=None)
 def test_fhat_dominates_every_candidate(q1, q2, v1, v2):
     spec = plain_cost()
-    rho = np.array([0.5, 0.5])
-    x = np.zeros(2)
+    rho = DensityState(rho=np.array([0.5, 0.5]))
+    x = MomentumState(s=np.zeros(2))
     ell = 1.0
     q = np.array([q1, q2])
     V = np.array([v1, v2])
     nrm = float(np.linalg.norm(V))
     if nrm > ell:
         V *= ell / nrm * (1.0 - 1e-12)
-    candidate = float(q @ V) - running_cost(spec, 0.0, rho, x, V)
+    candidate = float(q @ V) - running_cost(spec, 0.0, rho.rho, x.s, V)
     assert legendre_fhat(spec, 0.0, rho, x, q, ell) >= candidate - 1e-10
 
 
@@ -338,13 +340,11 @@ def control_hamiltonian_integrand(cost: CostSpec, energy: EnergySpec, t, rho, x,
     hamiltonian is its infimum over the control ball: the drift pairing,
     minus <q, V>, plus the running cost F(t, rho, x, V).
     """
-    rho_arr = np.asarray(getattr(rho, "rho", rho), dtype=float)
-    x_arr = np.asarray(getattr(x, "s", x), dtype=float)
     V = np.asarray(V, dtype=float)
     return (
-        _drift_pairing(energy, rho_arr, x_arr, p, q, Q)
+        _drift_pairing(energy, rho, x, p, q, Q)
         - float(np.asarray(q) @ V)
-        + float(running_cost(cost, t, rho_arr, x_arr, V))
+        + float(running_cost(cost, t, rho.rho, x.s, V))
     )
 
 
@@ -385,6 +385,9 @@ def test_hamiltonian_quadratic_term_and_guard():
     assert lifted - base == pytest.approx(0.5 * (0.04 * 2.0 + 0.04 * 1.0), rel=1e-12)
     with pytest.raises(ShapeError):
         hamiltonian(cost, energy, 0.0, rho, x, p, q, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    for ell in (0.0, True):
+        with pytest.raises(DomainError, match="ball radius"):
+            hamiltonian(cost, energy, 0.0, rho, x, p, q, Q, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_fhat_R_reduces_to_plain_transform_on_plateau():
     x = MomentumState(s=np.array([0.1, -0.1]))
     assert float(dominant_array(energy, rho.rho, x.s)) < tr.R
     for q in (np.zeros(2), np.array([0.4, -0.3]), np.array([3.0, 4.0])):
-        plain = legendre_fhat(cost, 0.0, rho.rho, x.s, q, 1.0)
+        plain = legendre_fhat(cost, 0.0, rho, x, q, 1.0)
         assert fhat_R(cost, energy, tr, 0.0, rho, x, q, 0.0, 1.0) == pytest.approx(
             plain, rel=1e-14, abs=1e-14
         )
@@ -133,6 +133,14 @@ def test_fhat_R_reduces_to_plain_transform_on_plateau():
         assert fhat_R(cost, energy, tr, 0.0, rho, x, q, 7.0, 1.0) == pytest.approx(
             plain, rel=1e-14, abs=1e-14
         )
+    for ell in (0.0, -1.0, np.nan, np.inf, True):
+        with pytest.raises(DomainError, match="ball radius"):
+            fhat_R(cost, energy, tr, 0.0, rho, x, np.zeros(2), 0.0, ell)
+        with pytest.raises(DomainError, match="ball radius"):
+            truncated_hamiltonian(
+                cost, energy, tr, 0.0, rho, x, 0.0,
+                np.zeros(2), np.zeros(2), np.zeros((2, 2)), ell,
+            )
 
 
 def test_fhat_R_lipschitz_in_q():
@@ -195,19 +203,21 @@ def test_grid_validation():
         )
     with pytest.raises(DomainError):
         SimplexGrid(
-            t_axis=np.array([0.0, 0.1, 0.3]), rho1_axis=np.linspace(0.1, 0.9, 5),
-            x1_axis=np.linspace(-1, 1, 5), x2_axis=np.linspace(-1, 1, 5), cfl={},
+            axes=(np.array([0.0, 0.1, 0.3]), np.linspace(0.1, 0.9, 5),
+                  np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), cfl={},
         )
     with pytest.raises(DomainError):
         SimplexGrid(
-            t_axis=np.linspace(0, 1, 4), rho1_axis=np.linspace(0.0, 0.9, 5),
-            x1_axis=np.linspace(-1, 1, 5), x2_axis=np.linspace(-1, 1, 5), cfl={},
+            axes=(np.linspace(0, 1, 4), np.linspace(0.0, 0.9, 5),
+                  np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), cfl={},
         )
     with pytest.raises(DomainError):
         SimplexGrid(
-            t_axis=np.array([1.0, 0.5]), rho1_axis=np.linspace(0.1, 0.9, 5),
-            x1_axis=np.linspace(-1, 1, 5), x2_axis=np.linspace(-1, 1, 5), cfl={},
+            axes=(np.array([1.0, 0.5]), np.linspace(0.1, 0.9, 5),
+                  np.linspace(-1, 1, 5), np.linspace(-1, 1, 5)), cfl={},
         )
+    with pytest.raises(DomainError, match="4 axes"):
+        SimplexGrid(axes=(np.linspace(0, 1, 4), np.linspace(0.1, 0.9, 5)), cfl={})
     # int() would build (8, 5, 5, 5) from (5.9, 5, 5, 8.7).
     for shape in ((5.9, 5, 5, 8.7), (5, 5, 5, True), (5, 5, 5, 1)):
         with pytest.raises(DomainError, match="grid shape"):
@@ -232,16 +242,12 @@ def test_solver_constant_solution_and_terminal_layer():
     assert np.array_equal(gvf2.values[-1], tracked.terminal_cost(rho_nodes, x_nodes))
     assert np.isfinite(gvf2.values).all()
     # Interpolation reproduces nodes and stays inside the hull between them.
-    t0 = float(grid.t_axis[2])
-    assert gvf2.evaluate(t0, grid.rho1_axis[3], grid.x1_axis[4], grid.x2_axis[5]) == (
+    times, rho1, x1, x2 = grid.axes
+    t0 = float(times[2])
+    assert gvf2.evaluate(t0, rho1[3], x1[4], x2[5]) == (
         pytest.approx(gvf2.values[2, 3, 4, 5], rel=1e-12)
     )
-    mid = gvf2.evaluate(
-        t0,
-        0.5 * (grid.rho1_axis[3] + grid.rho1_axis[4]),
-        grid.x1_axis[4],
-        grid.x2_axis[5],
-    )
+    mid = gvf2.evaluate(t0, 0.5 * (rho1[3] + rho1[4]), x1[4], x2[5])
     lo = min(gvf2.values[2, 3, 4, 5], gvf2.values[2, 4, 4, 5])
     hi = max(gvf2.values[2, 3, 4, 5], gvf2.values[2, 4, 4, 5])
     assert lo - 1e-12 <= mid <= hi + 1e-12
@@ -417,6 +423,16 @@ def test_value_function_roundtrip_and_fingerprints(tmp_path):
     detached = GridValueFunction.from_dir(path)
     with pytest.raises(DomainError):
         hjb_residual(detached, [[4, 4, 4, 4]])
+
+
+def test_artifact_names_the_axes_in_value_order(tmp_path):
+    gvf, _, _, path = _saved_grid(tmp_path)
+    stored = json.loads((path / "metadata.json").read_text())["axes"]
+    assert list(stored) == ["t", "rho1", "x1", "x2"]
+    assert [stored[name] for name in stored] == [ax.tolist() for ax in gvf.grid.axes]
+    back = GridValueFunction.from_dir(path).grid.axes
+    assert len(back) == 4
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(back, gvf.grid.axes))
 
 
 def test_energy_hash_follows_the_values_that_define_the_energy():

@@ -4,7 +4,7 @@ import pytest
 from graphwhs import rng
 from graphwhs.dynamics import SdeConfig, midpoint_step, step
 from graphwhs.energies import EnergySpec
-from graphwhs.graphs import DensityState, Graph, MomentumState
+from graphwhs.graphs import DensityState, DomainError, Graph, MomentumState
 from graphwhs.rng import RngStream, batch_increments, _BRIDGE_SLOTS
 
 
@@ -81,6 +81,21 @@ def test_out_of_range_stream_ids_and_indices_are_rejected():
         s.bridge_normal(-1, 0, 3)
     with pytest.raises(ValueError):
         s.bridge_normal(0, -1, 3)
+
+
+def test_batch_increments_refuses_bad_counts_before_drawing(monkeypatch):
+    # No paths or no steps is an empty draw, not an error.
+    assert batch_increments(3, 0, 4, 2, 0.1).shape == (0, 4, 2)
+    assert batch_increments(3, 2, 0, 2, 0.1).shape == (2, 0, 2)
+    drawn = []
+    monkeypatch.setattr(rng, "_words", lambda *args: drawn.append(args))
+    bad = [("substeps", 0), ("substeps", -1), ("substeps", 2.5), ("substeps", True),
+           ("n_steps", -1), ("n_steps", 4.0), ("n_paths", -1), ("n_paths", True)]
+    for name, value in bad:
+        args = dict(master_seed=3, n_paths=2, n_steps=4, n_dim=2, dt=0.1, substeps=2)
+        with pytest.raises(DomainError, match=name):
+            batch_increments(**{**args, name: value})
+    assert drawn == []
 
 
 def test_random_access_reads_match_one_sequential_draw():

@@ -68,19 +68,18 @@ def build_control(a):
 
 
 def axes(a):
-    return dict(
-        t_axis=a(np.linspace(0.0, 1.0, 3)), rho1_axis=a(np.linspace(0.1, 0.9, 3)),
-        x1_axis=a(np.linspace(-1.0, 1.0, 3)), x2_axis=a(np.linspace(-1.0, 1.0, 3)),
+    return (
+        a(np.linspace(0.0, 1.0, 3)), a(np.linspace(0.1, 0.9, 3)),
+        a(np.linspace(-1.0, 1.0, 3)), a(np.linspace(-1.0, 1.0, 3)),
     )
 
 
 def build_grid(a):
-    grid = SimplexGrid(**axes(a), cfl={})
-    return [grid.t_axis, grid.rho1_axis, grid.x1_axis, grid.x2_axis]
+    return list(SimplexGrid(axes=axes(a), cfl={}).axes)
 
 
 def build_grid_values(a):
-    grid = SimplexGrid(**axes(np.array), cfl={})
+    grid = SimplexGrid(axes=axes(np.array), cfl={})
     gvf = GridValueFunction(
         grid=grid, values=a(np.zeros(grid.shape)), cost_spec=None, energy=None, ell=1.0, cfl={},
     )
