@@ -60,11 +60,25 @@ All estimators run on the lockstep engine of ``dynamics.run_rows``:
   or the lattice interpolant in the middle search) is applied to the
   surviving final states.  The probes keep the last node only.  A run
   whose every path escaped raises ``EscapeQuotaError``.
+* ``bellman_gap``'s two sides are independent searches: the outer value
+  U(t), and the probes -> inner lattice -> middle search chain.  Where
+  ``os.fork`` exists, the process may run on two CPUs
+  (``os.sched_getaffinity``) and it runs no other thread (a fork would
+  copy that thread's locks, not the thread), the outer search runs in a
+  forked child beside the chain (``_Beside``) and sends its estimate back
+  as a pickle; elsewhere it runs first, in this process, since on one CPU
+  the fork costs more than it saves.  The outer noise is drawn before the fork and
+  the child runs the same code on it, so the result is bitwise the same
+  either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
@@ -618,6 +632,80 @@ def _value_search(
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (``os.cpu_count()`` where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _Beside:
+    """Runs fn(*args) beside the caller's work; ``with`` gives join(), which returns its result.
+
+    Where ``os.fork`` exists, the process may run on two CPUs and has no
+    other thread, fn runs in a forked child, which sends (ok, result or
+    exception) back through a pipe as a pickle and always ends with
+    ``os._exit``.  join() reads the pipe, reaps the child, and returns the
+    result or raises the exception; a child that exits before sending it
+    raises ``ChildProcessError`` with its exit status.  Leaving the block
+    before join() kills and reaps the child.  Elsewhere fn runs here, at
+    once.  Nothing here keeps ``args`` once the child has its copy.
+    """
+
+    def __init__(self, fn, *args):
+        self._pid = self._pipe = None
+        if not hasattr(os, "fork") or _usable_cpus() < 2 or threading.active_count() > 1:
+            self._result = fn(*args)
+            return
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:  # the child
+            code = 1
+            try:
+                os.close(read_end)
+                try:
+                    payload = pickle.dumps((True, fn(*args)))
+                except Exception as err:
+                    payload = pickle.dumps((False, err))
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(payload)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        self._pid, self._pipe = pid, os.fdopen(read_end, "rb")
+
+    def __enter__(self):
+        return self._join
+
+    def _join(self):
+        if self._pid is None:
+            return self._result
+        payload = self._pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        self._pid = None
+        if code:  # a child that exits 0 has sent its whole payload
+            raise ChildProcessError(f"the forked search exited with status {code} and no result")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+    def __exit__(self, *exc_info):
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._pipe is not None:
+            self._pipe.close()
+
+
 def bellman_gap(
     cost: CostSpec,
     cfg: SdeConfig,
@@ -645,9 +733,18 @@ def bellman_gap(
     budget.  ``inner_paths`` defaults to max(n_paths // 4, 200).  Returns
     (gap, combined standard error); with ``return_detail`` a dict of the
     intermediate estimates is appended.
+
+    The two sides are independent searches: the outer value U(t), and the
+    probes -> inner lattice -> middle search chain.  Once every argument is
+    checked and the outer noise drawn, the outer search runs in a forked
+    child (``_Beside``) while this process runs the chain, where the process
+    may use two CPUs and runs no other thread; elsewhere it runs first, in
+    this process.  The child replays the same noise through the same code,
+    so the result is bitwise the same either way.  An error on either side
+    reaches the caller; with a child, one in the chain comes first and
+    kills the child.
     """
-    n = rho.n
-    if n != 2:
+    if rho.n != 2:
         raise DomainError("the nested lattice evaluation is specialized to n = 2")
     if not cfg.t0 <= t < t_bar <= cfg.T:
         raise DomainError("need t < t_bar <= T")
@@ -660,9 +757,44 @@ def bellman_gap(
         inner_paths = max(n_paths // 4, 200)
     inner_paths = int_at_least(inner_paths, 1, "inner_paths")
     klass = _read_class(control_class, t, cfg.T)
+    outer_class = _read_class(dict(control_class, breakpoints=[t, t_bar, cfg.T]), t, cfg.T)
+    outer_cfg = replace(cfg, t0=t)
+    # The outer noise goes straight to _Beside, so this process frees it
+    # once a child has its copy.
+    with _Beside(
+        _value_search, cost, outer_cfg, [(rho.rho, x.s)], outer_class,
+        draw_noise(outer_cfg, master_seed, n_paths), 150,
+    ) as outer_search:
+        mid, inner_se_max, lo, hi = _middle_search(
+            cost, cfg, t, t_bar, rho, x, klass, n_paths, master_seed, inner_paths, lattice_shape
+        )
+        [outer] = outer_search()
+    best, best_se = mid.value, mid.std_error
 
-    outer_class = dict(control_class, breakpoints=[t, t_bar, cfg.T])
-    outer = value_function_mc(cost, cfg, t, rho, x, outer_class, n_paths, master_seed)
+    gap = abs(outer.value - best)
+    se = math.sqrt(outer.std_error**2 + best_se**2) + inner_se_max
+    if return_detail:
+        detail = {
+            "outer": outer.to_dict(),
+            "middle_value": best,
+            "middle_se": best_se,
+            "inner_se_max": inner_se_max,
+            "lattice_lo": lo.tolist(),
+            "lattice_hi": hi.tolist(),
+        }
+        return gap, se, detail
+    return gap, se
+
+
+def _middle_search(
+    cost, cfg, t, t_bar, rho, x, klass, n_paths, master_seed, inner_paths, lattice_shape
+):
+    """``bellman_gap``'s middle search on [t, t_bar], scored by its inner lattice at t_bar.
+
+    Returns the middle estimate, the inner lattice's largest standard error
+    and the lattice's corners.
+    """
+    n = rho.n
 
     # Reachable cloud at t_bar under a few probe controls fixes the lattice.
     # The probes replay the first paths of the middle search's noise draw.
@@ -715,18 +847,4 @@ def bellman_gap(
         cost, seg_cfg, [(rho.rho, x.s)], middle_class, seg_noise,
         budget=math.inf, terminal=middle_terminal,
     )
-    best, best_se = mid.value, mid.std_error
-
-    gap = abs(outer.value - best)
-    se = math.sqrt(outer.std_error**2 + best_se**2) + inner_se_max
-    if return_detail:
-        detail = {
-            "outer": outer.to_dict(),
-            "middle_value": best,
-            "middle_se": best_se,
-            "inner_se_max": inner_se_max,
-            "lattice_lo": lo.tolist(),
-            "lattice_hi": hi.tolist(),
-        }
-        return gap, se, detail
-    return gap, se
+    return mid, inner_se_max, lo, hi

@@ -73,6 +73,10 @@ class BoundaryEscapeError(RuntimeError):
         self.path_index = path_index
         self.trajectory = trajectory
 
+    def __reduce__(self):
+        # Pickle rebuilds an exception from self.args, the message alone.
+        return type(self), (self.time, self.path_index, self.trajectory)
+
 
 class EscapeQuotaError(RuntimeError):
     """More than the tolerated fraction of ensemble paths escaped."""
@@ -81,6 +85,9 @@ class EscapeQuotaError(RuntimeError):
         super().__init__(f"{escaped} of {total} paths escaped the interior")
         self.escaped = escaped
         self.total = total
+
+    def __reduce__(self):
+        return type(self), (self.escaped, self.total)
 
 
 @dataclass(frozen=True)

@@ -178,9 +178,14 @@ def fhat_R(
     ell: float,
 ) -> float:
     """sup over the control ball of <q - U dphi/dx, V> - phi(H0) F(t,rho,x,V)."""
+    _, phi0, dphi_x, _ = _cutoff_state(energy, tr, rho, x)
+    return _fhat_R_at(spec, t, rho, x, q, U_value, ell, phi0, dphi_x)
+
+
+def _fhat_R_at(spec: CostSpec, t, rho, x, q, U_value, ell, phi0: float, dphi_x: Array) -> float:
+    """``fhat_R`` given phi(H0) and its x-gradient at (rho, x)."""
     if not (is_real(ell) and 0.0 < ell < np.inf):
         raise DomainError("ball radius must be positive and finite")
-    _, phi0, dphi_x, _ = _cutoff_state(energy, tr, rho, x)
     w = np.asarray(q, dtype=float) - U_value * dphi_x
     wn = float(np.sqrt((w**2).sum()))
     return float(fhat_norm(wn, phi0 * spec.control_coeff, ell)) - phi0 * float(
@@ -213,7 +218,7 @@ def truncated_hamiltonian(
     value -= U_value * (
         0.5 * float(sig2 @ np.diag(hess_phi)) - float(sig2 @ dphi_x**2) / phi0
     )
-    value -= fhat_R(spec, energy, tr, t, rho, x, q, U_value, ell)
+    value -= _fhat_R_at(spec, t, rho, x, q, U_value, ell, phi0, dphi_x)
     return value
 
 
@@ -419,9 +424,15 @@ class GridValueFunction:
                 f"grid artifact schema {meta.get('schema')!r} is not supported "
                 f"(expected {ARTIFACT_SCHEMA}); re-run `graph-whs hjb` to rewrite it"
             )
-        if cost_spec is not None and meta["cost_hash"] != cost_hash(cost_spec):
+        try:
+            axes = tuple(_readonly(meta["axes"][name]) for name in AXIS_NAMES)
+            shape, cfl, ell = meta["shape"], meta["cfl"], float(meta["ell"])
+            stored_cost, stored_energy = meta["cost_hash"], meta["energy_hash"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"metadata.json is malformed: {exc!r}") from exc
+        if cost_spec is not None and stored_cost != cost_hash(cost_spec):
             raise DomainError("cost spec does not match the stored fingerprint")
-        if energy is not None and meta["energy_hash"] != energy_hash(energy):
+        if energy is not None and stored_energy != energy_hash(energy):
             raise DomainError("energy spec does not match the stored fingerprint")
         try:
             values = np.load(path / VALUES_FILE, allow_pickle=False)
@@ -429,20 +440,17 @@ class GridValueFunction:
             raise DomainError(f"{VALUES_FILE} is not a plain float64 array") from exc
         if not isinstance(values, np.ndarray) or values.dtype != np.float64:
             raise DomainError(f"{VALUES_FILE} is not a plain float64 array")
-        if list(values.shape) != meta["shape"]:
+        if list(values.shape) != shape:
             raise DomainError(
-                f"{VALUES_FILE} has shape {list(values.shape)}, metadata says {meta['shape']}"
+                f"{VALUES_FILE} has shape {list(values.shape)}, metadata says {shape}"
             )
-        grid = SimplexGrid(
-            axes=tuple(meta["axes"][name] for name in AXIS_NAMES), cfl=meta["cfl"]
-        )
         return cls(
-            grid=grid,
+            grid=SimplexGrid(axes=axes, cfl=cfl),
             values=values,
             cost_spec=cost_spec,
             energy=energy,
-            ell=float(meta["ell"]),
-            cfl=meta["cfl"],
+            ell=ell,
+            cfl=cfl,
         )
 
 

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -832,6 +834,8 @@ def test_lockstep_step_counts_are_pinned(monkeypatch):
         return step(energy, floor, rho, *args)
 
     monkeypatch.setattr(dynamics, "midpoint_step", counted)
+    # One CPU: bellman_gap runs its outer search here, where the spy sees it.
+    monkeypatch.setattr(control, "_usable_cpus", lambda: 1)
     cost, cfg, t, t_bar, rho, x, _, _, seed = small_gap_inputs()
     klass = {"ell": 1.0, "m": 2, "golden_iters": 4, "sweeps": 1}
     value_function_mc(cost, cfg, t, rho, x, klass, 20, seed)
@@ -880,11 +884,7 @@ def test_bellman_gap_guards():
 
 @pytest.mark.parametrize("shape", [(4, 4), (2, 2, 2, 2), (3, 0, 3), (3, -1, 3), (2.0, 2, 2), 4])
 def test_bellman_gap_rejects_bad_lattice_shape_before_simulating(shape, monkeypatch):
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("Monte Carlo ran before lattice_shape was checked")
-
-    monkeypatch.setattr("graphwhs.control.value_function_mc", no_simulation)
-    monkeypatch.setattr("graphwhs.control.run_rows", no_simulation)
+    forbid_noise(monkeypatch, "lattice_shape")
     cfg = noiseless_cfg(T=0.1, dt=5e-3)
     rho = DensityState(rho=np.array([0.35, 0.65]))
     x = MomentumState(s=np.array([0.4, -0.2]))
@@ -990,6 +990,7 @@ def test_bellman_gap_searches_one_ball_on_every_side(monkeypatch):
         return engine(cfg, *args, **kwargs)
 
     monkeypatch.setattr(control, "run_rows", spy)
+    monkeypatch.setattr(control, "_usable_cpus", lambda: 1)  # the outer search runs here
     cost, cfg, t, t_bar, rho, x, _, n_paths, seed = small_gap_inputs()
     cfg = replace(cfg, control=ControlSignal.constant(np.zeros(2), 0.0, cfg.T, 2.0))
     _, _, detail = bellman_gap(
@@ -1000,3 +1001,106 @@ def test_bellman_gap_searches_one_ball_on_every_side(monkeypatch):
     assert max(norms) <= 1.0 + 1e-12
     # The probe corners sit on the ball's edge.
     assert max(norms) >= 1.0 - 1e-12
+
+
+def tiny_gap_inputs():
+    cost, cfg, t, t_bar, rho, x, _, _, seed = small_gap_inputs()
+    return cost, cfg, t, t_bar, rho, x, {"m": 1, "golden_iters": 2}, 20, seed
+
+
+def tiny_gap(**kwargs):
+    return bellman_gap(*tiny_gap_inputs(), inner_paths=10, lattice_shape=(2, 2, 2), **kwargs)
+
+
+def fork_counted(monkeypatch, cpus: int) -> list:
+    """Report ``cpus`` usable CPUs to bellman_gap; returns the list of its forks."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(control, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_forked_and_inline_bellman_gap_agree_bitwise(monkeypatch):
+    forks = fork_counted(monkeypatch, 1)
+    inline = tiny_gap(return_detail=True)
+    assert forks == []
+    forks = fork_counted(monkeypatch, 2)
+    forked = tiny_gap(return_detail=True)
+    assert len(forks) == 1
+    # == on floats is bitwise here: no value is NaN.
+    assert forked == inline
+
+
+def test_an_outer_search_error_reaches_the_caller(monkeypatch):
+    parent = os.getpid()
+    search = control._value_search
+
+    def escaping(*args, **kwargs):
+        if os.getpid() != parent:  # the forked outer search
+            raise EscapeQuotaError(7, 9)
+        return search(*args, **kwargs)
+
+    forks = fork_counted(monkeypatch, 2)
+    monkeypatch.setattr(control, "_value_search", escaping)
+    with pytest.raises(EscapeQuotaError) as info:
+        tiny_gap()
+    assert len(forks) == 1
+    assert (type(info.value), info.value.escaped, info.value.total) == (EscapeQuotaError, 7, 9)
+
+
+def test_a_failing_lattice_search_leaves_no_child(monkeypatch):
+    # The outer search would run for a minute; the lattice search fails at
+    # once, and bellman_gap kills and reaps the child before it raises.
+    parent = os.getpid()
+    search = control._value_search
+
+    def lattice_fails(cost, cfg, starts, *args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        elif len(starts) > 1:
+            raise RuntimeError("lattice search failed")
+        return search(cost, cfg, starts, *args, **kwargs)
+
+    forks = fork_counted(monkeypatch, 2)
+    monkeypatch.setattr(control, "_value_search", lattice_fails)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="lattice search failed"):
+        tiny_gap()
+    assert len(forks) == 1
+    assert time.monotonic() - start < 30.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_outer_search_that_dies_silently_is_reported(monkeypatch):
+    parent = os.getpid()
+    search = control._value_search
+
+    def dies(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return search(*args, **kwargs)
+
+    fork_counted(monkeypatch, 2)
+    monkeypatch.setattr(control, "_value_search", dies)
+    with pytest.raises(ChildProcessError, match="status 3"):
+        tiny_gap()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
+def test_a_failed_fork_closes_its_pipe(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(control, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        tiny_gap()
+    assert len(os.listdir("/proc/self/fd")) == open_fds

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -211,6 +212,17 @@ def test_single_path_escape_raises_with_partial_trajectory():
     assert info.value.trajectory is not None
     assert isinstance(info.value.trajectory, Trajectory)
     assert info.value.path_index == 0
+
+
+def test_escape_errors_survive_a_pickle_round_trip():
+    # bellman_gap's forked outer search sends its errors back as pickles.
+    quota = pickle.loads(pickle.dumps(EscapeQuotaError(3, 5)))
+    assert type(quota) is EscapeQuotaError
+    assert (quota.escaped, quota.total, str(quota)) == (3, 5, str(EscapeQuotaError(3, 5)))
+    boundary = pickle.loads(pickle.dumps(BoundaryEscapeError(0.25, 7, trajectory=[1.0])))
+    assert type(boundary) is BoundaryEscapeError
+    assert (boundary.time, boundary.path_index, boundary.trajectory) == (0.25, 7, [1.0])
+    assert str(boundary) == str(BoundaryEscapeError(0.25, 7))
 
 
 def test_ensemble_escape_quota():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from graphwhs import _kernels, checks
+from graphwhs import _kernels, checks, hjb
 from graphwhs._kernels import moreau_lines, multilinear, multilinear_at
 
 from graphwhs.control import BOUNDED_TRACKING, CostSpec, hamiltonian, legendre_fhat
@@ -157,6 +157,26 @@ def test_fhat_R_lipschitz_in_q():
         f2 = fhat_R(cost, energy, tr, 0.0, rho, x, q2, 0.4, ell)
         gap = float(np.linalg.norm(q1 - q2))
         assert abs(f1 - f2) <= ell * gap * (1.0 + 1e-12) + 1e-12
+
+
+def test_truncated_hamiltonian_computes_the_cutoff_once(monkeypatch):
+    # On the cutoff's slope (R < H0 < 2R), where phi' != 0; the value is
+    # the one fhat_R computed from its own cutoff state.
+    calls = []
+    dominant = hjb.dominant_array
+
+    def counted(*args):
+        calls.append(args)
+        return dominant(*args)
+
+    monkeypatch.setattr(hjb, "dominant_array", counted)
+    rho, x = band_state()
+    value = truncated_hamiltonian(
+        tracking_cost(), pair_energy(), TruncationFn(R=1.5), 0.0, rho, x, 0.4,
+        np.array([0.3, -0.1]), np.array([0.2, 0.5]), np.array([[1.0, 0.2], [0.2, 0.5]]), 1.0,
+    )
+    assert value == 1.201253167396168
+    assert len(calls) == 1
 
 
 def test_truncated_hamiltonian_plateau_and_domain():
@@ -508,6 +528,20 @@ def test_schema_1_grid_artifact_is_refused(tmp_path):
     meta["layer_files"] = [f"layer_{k:04d}.csv" for k in range(16)]
     (path / "metadata.json").write_text(json.dumps(meta))
     with pytest.raises(DomainError, match="graph-whs hjb"):
+        GridValueFunction.from_dir(path)
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda meta: meta["axes"].pop("x2"), lambda meta: meta["axes"].update(x2="abc")],
+    ids=["missing_key", "non_numeric_axis"],
+)
+def test_malformed_metadata_is_refused(tmp_path, spoil):
+    _, _, _, path = _saved_grid(tmp_path)
+    meta = json.loads((path / "metadata.json").read_text())
+    spoil(meta)
+    (path / "metadata.json").write_text(json.dumps(meta))
+    with pytest.raises(DomainError, match="metadata.json is malformed"):
         GridValueFunction.from_dir(path)
 
 
