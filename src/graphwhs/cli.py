@@ -50,6 +50,7 @@ from .graphs import (
     int_at_least,
     is_int,
     is_real,
+    real_in,
     wasserstein_path,
 )
 from .hjb import (
@@ -213,32 +214,28 @@ def _check_solver(s: dict) -> None:
     ``SdeConfig`` has already checked t0, T, dt and boundary_floor.  The
     ranges of t_bar and path_steps are ``bellman_gap``'s and
     ``wasserstein_path``'s; X and rho_margin keep the grid's axes increasing
-    and its densities interior.  NaN fails every comparison, so it is refused.
+    and its densities interior.
     """
-    t_bar, shape, theta = s["t_bar"], s["grid_shape"], s["theta"]
-    rules = {
-        "t_bar": (t_bar is None or is_real(t_bar) and s["t0"] < t_bar <= s["T"],
-                  "null or a number in (t0, T]"),
-        "grid_shape": (isinstance(shape, (list, tuple)) and len(shape) == 4
-                       and all(is_int(v) and v >= 2 for v in shape), "four ints >= 2"),
-        "X": (is_real(s["X"]) and 0.0 < s["X"] < np.inf, "a positive finite number"),
-        "rho_margin": (is_real(s["rho_margin"]) and 0.0 < s["rho_margin"] < 0.5,
-                       "a number in (0, 1/2)"),
-        "n_paths": (is_int(s["n_paths"]) and s["n_paths"] >= 1, "an int >= 1"),
-        "inner_paths": (s["inner_paths"] is None or is_int(s["inner_paths"])
-                        and s["inner_paths"] >= 1, "null or an int >= 1"),
-        "budget": (is_real(s["budget"]) and s["budget"] >= 1.0, "a number >= 1"),
-        "theta": (isinstance(theta, (list, tuple)) and len(theta) > 0
-                  and all(is_real(v) and 0.0 < v < np.inf for v in theta),
-                  "a nonempty list of positive finite numbers"),
-        "path_steps": (is_int(s["path_steps"]) and s["path_steps"] >= 8, "an int >= 8"),
-        "path_iters": (is_int(s["path_iters"]) and s["path_iters"] >= 0, "an int >= 0"),
-        "escape_quota": (is_real(s["escape_quota"]) and 0.0 <= s["escape_quota"] <= 1.0,
-                         "a number in [0, 1]"),
-    }
-    for key, (ok, allowed) in rules.items():
-        if not ok:
-            raise DomainError(f"solver.{key} must be {allowed}")
+    if s["t_bar"] is not None:
+        real_in(s["t_bar"], "solver.t_bar", s["t0"], s["T"], "(]")
+    shape, theta = s["grid_shape"], s["theta"]
+    if not (isinstance(shape, (list, tuple)) and len(shape) == 4):
+        raise DomainError("solver.grid_shape must be a list of four ints")
+    for v in shape:
+        int_at_least(v, 2, "solver.grid_shape")
+    real_in(s["X"], "solver.X", 0.0, np.inf)
+    real_in(s["rho_margin"], "solver.rho_margin", 0.0, 0.5)
+    int_at_least(s["n_paths"], 1, "solver.n_paths")
+    if s["inner_paths"] is not None:
+        int_at_least(s["inner_paths"], 1, "solver.inner_paths")
+    real_in(s["budget"], "solver.budget", 1.0, np.inf, "[]")
+    if not (isinstance(theta, (list, tuple)) and len(theta) > 0):
+        raise DomainError("solver.theta must be a nonempty list of numbers")
+    for v in theta:
+        real_in(v, "solver.theta", 0.0, np.inf)
+    int_at_least(s["path_steps"], 8, "solver.path_steps")
+    int_at_least(s["path_iters"], 0, "solver.path_iters")
+    real_in(s["escape_quota"], "solver.escape_quota", 0.0, 1.0, "[]")
 
 
 def _vector(value, n: int, name: str) -> np.ndarray:

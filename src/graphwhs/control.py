@@ -105,7 +105,7 @@ from .graphs import (
     _readonly,
     fold_columns,
     int_at_least,
-    is_real,
+    real_in,
 )
 
 QUADRATIC_CONTROL = "quadratic_control"
@@ -135,18 +135,10 @@ class CostSpec:
         if family not in FAMILIES:
             raise DomainError(f"unknown cost family {self.family!r}")
         object.__setattr__(self, "family", family)
-        for key in ("control_coeff", "tracking_coeff", "bound", "terminal_weight",
-                    "terminal_offset"):
-            value = getattr(self, key)
-            if not is_real(value):
-                raise DomainError(f"{key} must be a number, not a bool: {value!r}")
-        if not 0.0 < self.control_coeff < math.inf:
-            raise DomainError("control_coeff must be positive and finite")
-        weights = (self.tracking_coeff, self.bound, self.terminal_weight)
-        if not all(0.0 <= c < math.inf for c in weights):
-            raise DomainError("cost weights must be nonnegative and finite")
-        if not math.isfinite(self.terminal_offset):
-            raise DomainError("terminal_offset must be finite")
+        real_in(self.control_coeff, "control_coeff", 0.0, math.inf)
+        for key in ("tracking_coeff", "bound", "terminal_weight"):
+            real_in(getattr(self, key), key, 0.0, math.inf, "[)")
+        real_in(self.terminal_offset, "terminal_offset", -math.inf, math.inf)
         for key in ("target_rho", "target_x"):
             target = getattr(self, key)
             if target is not None:
@@ -194,8 +186,7 @@ def legendre_fhat(
     spec: CostSpec, t, rho: DensityState, x: MomentumState, q, ell: float
 ) -> float:
     """sup over the control ball of <q, V> - F(t, rho, x, V)."""
-    if not (is_real(ell) and 0.0 < ell < math.inf):
-        raise DomainError("ball radius must be positive and finite")
+    real_in(ell, "ell", 0.0, math.inf)
     q = np.asarray(q, dtype=float)
     qn = float(np.sqrt((q**2).sum()))
     return float(fhat_norm(qn, spec.control_coeff, ell)) - float(spec.state_cost(t, rho.rho, x.s))
@@ -262,17 +253,6 @@ def _fresh(rho: Array, s: Array, paths: int) -> tuple:
     )
 
 
-def _kept(estimate: _Estimate) -> _Estimate:
-    """The estimate with its own copy of its marks.
-
-    A search keeps its best estimate for long; until then the marks are
-    views that hold the whole batch's arrays.
-    """
-    return estimate._replace(
-        marks=tuple(tuple(a.copy() for a in state) for state in estimate.marks)
-    )
-
-
 def _taken(estimate):
     """An estimate a search goes on with.
 
@@ -333,7 +313,6 @@ def _cost_estimates(
         costs = total[rows][keep]
         costs += terminal(rho[rows][keep], s[rows][keep])
         se = float(costs.std(ddof=1) / math.sqrt(costs.size)) if costs.size > 1 else 0.0
-        # Views: a search copies the marks of the estimates it keeps (_kept).
         kept = tuple(tuple(a[rows] for a in state) for state in states)
         out.append(_Estimate(float(costs.mean()), se, int(costs.size), kept))
     return out
@@ -349,7 +328,13 @@ def cost_functional(
     n_paths: int,
     master_seed: int,
 ) -> ValueEstimate:
-    """MC estimate of the expected running-plus-terminal cost of one control."""
+    """MC estimate of the expected running-plus-terminal cost of one control.
+
+    The estimate averages the paths that stayed inside the simplex; a path
+    that escaped is left out, and ``n_paths`` counts the paths averaged.
+    Two controls can lose different paths, so their estimates may average
+    different survivor sets.  ``EscapeQuotaError`` means every path escaped.
+    """
     n_paths = int_at_least(n_paths, 1, "n_paths")
     if control is None:
         # The zero control moves and costs exactly what no control does.
@@ -437,7 +422,7 @@ def _coordinate_search(
     """
     params = np.zeros((m, n))
     (best,) = yield [_Trial(params.copy(), 0, (start,))]
-    best = _kept(_taken(best))
+    best = _taken(best)
     evals = 1
     for _ in range(sweeps):
         improved = False
@@ -453,7 +438,7 @@ def _coordinate_search(
             evals += iters + 2
             if f_star.mean < best.mean - 1e-15:
                 params[piece, axis] = v_star
-                best = _kept(f_star)
+                best = f_star
                 improved = True
         if not improved:
             break
@@ -499,9 +484,7 @@ def _read_class(control_class: dict, t: float, T: float) -> _ControlClass:
     unknown = set(control_class) - {"ell", "m", "breakpoints", "sweeps", "golden_iters"}
     if unknown:
         raise DomainError(f"unknown control class keys {sorted(unknown)}")
-    ell = control_class.get("ell", 1.0)
-    if not (is_real(ell) and 0.0 < ell < math.inf):
-        raise DomainError("control class ell must be a positive number")
+    ell = real_in(control_class.get("ell", 1.0), "control class ell", 0.0, math.inf)
     m = int_at_least(control_class.get("m", 1), 1, "control class m")
     sweeps = int_at_least(control_class.get("sweeps", 2), 1, "control class sweeps")
     iters = int_at_least(control_class.get("golden_iters", 14), 0, "control class golden_iters")
@@ -525,7 +508,7 @@ def value_function_mc(
     control_class: dict,
     n_paths: int,
     master_seed: int,
-    budget: int = 150,
+    budget: float = 150,
 ) -> ValueEstimate:
     """Upper approximation of the value function over a restricted class.
 
@@ -533,9 +516,17 @@ def value_function_mc(
     breakpoints).  Coordinates are optimized by golden section inside the
     ball slice given the other coordinates (cross-entropy would replace this
     beyond a few pieces; the classes used here stay small).  All candidates
-    share increments through the fixed master seed.
+    share increments through the fixed master seed.  ``budget``, a number
+    >= 1 or ``math.inf`` for no limit, caps the evaluations on the search's
+    path; a search it stops is ``flagged`` in the trace.
+
+    Each candidate's estimate averages its paths that stayed inside, and
+    ``n_paths`` counts the best candidate's survivors.  Two candidates can
+    lose different paths, so the search may compare means over different
+    survivor sets.
     """
     klass = _read_class(control_class, t, cfg.T)
+    real_in(budget, "budget", 1.0, math.inf, "[]")
     n_paths = int_at_least(n_paths, 1, "n_paths")
     run_cfg = replace(cfg, t0=t)
     return _value_search(

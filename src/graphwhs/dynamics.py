@@ -59,7 +59,7 @@ from .graphs import (
     fold_columns,
     int_at_least,
     is_int,
-    is_real,
+    real_in,
 )
 from .rng import RngStream, batch_increments
 
@@ -101,13 +101,11 @@ class SdeConfig:
     max_rejects: int = 10
 
     def __post_init__(self):
-        if not (is_real(self.t0) and is_real(self.T) and 0.0 <= self.t0 < self.T < math.inf):
-            raise DomainError("need 0 <= t0 < T < inf")
-        if not (is_real(self.dt) and 0.0 < self.dt < math.inf):
-            raise DomainError("dt must be positive and finite")
+        real_in(self.t0, "t0", 0.0, math.inf, "[)")
+        real_in(self.T, "T", self.t0, math.inf)
+        real_in(self.dt, "dt", 0.0, math.inf)
         n = self.energy.graph.n
-        if not (is_real(self.boundary_floor) and 0.0 < self.boundary_floor < 1.0 / n):
-            raise DomainError("boundary_floor must lie in (0, 1/n)")
+        real_in(self.boundary_floor, "boundary_floor", 0.0, 1.0 / n)
         if not (is_int(self.max_rejects) and 0 <= self.max_rejects <= 10):
             raise DomainError("max_rejects must be an int in [0, 10]")
         values = getattr(self.control, "values", None)
@@ -299,8 +297,7 @@ class ControlSignal:
         # Negated comparisons, so that NaN fails each check.
         if not (np.diff(bp) > 0.0).all():
             raise DomainError("breakpoints must be strictly increasing")
-        if not (is_real(self.ell) and 0.0 < self.ell < math.inf):
-            raise DomainError("control radius must be a positive finite number")
+        real_in(self.ell, "ell", 0.0, math.inf)
         norms = np.sqrt((vals**2).sum(axis=-1))
         if not (norms <= self.ell * (1.0 + 1e-12)).all():
             raise DomainError("control value outside the admissible ball")
@@ -474,8 +471,7 @@ def simulate_batch(
 ) -> list[Trajectory]:
     """Ensemble of paths on streams 0..n_paths-1, dropping at most escape_quota escapes."""
     n_paths = int_at_least(n_paths, 1, "n_paths")
-    if not (is_real(escape_quota) and 0.0 <= escape_quota <= 1.0):
-        raise DomainError("escape_quota must be a number in [0, 1]")
+    real_in(escape_quota, "escape_quota", 0.0, 1.0, "[]")
     raw = batch_arrays(cfg, rho0, x0, n_paths, master_seed)
     alive = raw[6]
     escaped = int((~alive).sum())

@@ -57,7 +57,7 @@ from .graphs import (
     _mean_dt,
     _mobility_laplacian,
     _readonly,
-    is_real,
+    real_in,
 )
 
 POLYNOMIAL_INTERACTION = "polynomial_interaction"
@@ -88,10 +88,7 @@ class EnergySpec:
         if variant not in VARIANTS:
             raise VariantError(f"unknown energy variant {self.variant!r}")
         object.__setattr__(self, "variant", variant)
-        if not is_real(self.fisher_coeff):
-            raise DomainError(f"fisher_coeff must be a number, not a bool: {self.fisher_coeff!r}")
-        if not 0.0 <= self.fisher_coeff < np.inf:
-            raise DomainError("fisher_coeff must be nonnegative and finite")
+        real_in(self.fisher_coeff, "fisher_coeff", 0.0, np.inf, "[)")
         w = self.interaction
         if w is None:
             w = np.zeros((n, n))

@@ -91,6 +91,21 @@ def int_at_least(value, low: int, name: str) -> int:
     return int(value)
 
 
+def real_in(value, name: str, lo: float, hi: float, ends: str = "()"):
+    """value as given; DomainError unless it is a real number (not a bool) between lo and hi.
+
+    ``ends`` marks each end of the interval open or closed: "()", "[)",
+    "(]" or "[]".  NaN fails every comparison, so it is refused.
+    """
+    if not (
+        is_real(value)
+        and (lo <= value if ends[0] == "[" else lo < value)
+        and (value <= hi if ends[1] == "]" else value < hi)
+    ):
+        raise DomainError(f"{name} must be a number in {ends[0]}{lo}, {hi}{ends[1]}, not {value!r}")
+    return value
+
+
 def fold_columns(ufunc, a: Array) -> Array:
     """ufunc folded over the columns of a (..., n) array, left to right.
 
@@ -488,8 +503,8 @@ def wasserstein_path(
     tangent) with backtracking; the line search rejects trials with an
     interior component at or below ``EPS_FLOOR``.
     """
-    if steps < 8:
-        raise DomainError("need at least 8 path steps")
+    steps = int_at_least(steps, 8, "steps")
+    iters = int_at_least(iters, 0, "iters")
     n = G.n
     if rho0.n != n or rho1.n != n:
         raise ShapeError("densities must match the graph size")
@@ -576,10 +591,9 @@ def two_node_distance_oracle(w: ProbabilityWeight, omega: float, a: float, b: fl
     equation leaves a single scalar velocity and the action integral
     collapses to a one-dimensional length.
     """
-    if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-        raise DomainError("endpoints must be interior")
-    if omega <= 0.0:
-        raise DomainError("edge weight must be positive")
+    real_in(omega, "omega", 0.0, math.inf)
+    real_in(a, "a", 0.0, 1.0)
+    real_in(b, "b", 0.0, 1.0)
     if a == b:
         return 0.0
 

@@ -46,7 +46,7 @@ from .graphs import (
     _readonly,
     frechet_project,
     int_at_least,
-    is_real,
+    real_in,
 )
 
 
@@ -103,10 +103,8 @@ class TruncationFn:
     def __post_init__(self):
         # R >= 1 keeps the decay plateau R^(-beta) at or below the inner
         # plateau 1, so the profile is genuinely non-increasing.
-        if not (is_real(self.R) and 1.0 <= self.R < np.inf):
-            raise DomainError("cutoff level must be finite and at least 1")
-        if not (is_real(self.beta) and 0.0 < self.beta < 1.0):
-            raise DomainError("decay exponent must lie in (0, 1)")
+        real_in(self.R, "R", 1.0, np.inf, "[)")
+        real_in(self.beta, "beta", 0.0, 1.0)
 
     @property
     def floor(self) -> float:
@@ -184,8 +182,7 @@ def fhat_R(
 
 def _fhat_R_at(spec: CostSpec, t, rho, x, q, U_value, ell, phi0: float, dphi_x: Array) -> float:
     """``fhat_R`` given phi(H0) and its x-gradient at (rho, x)."""
-    if not (is_real(ell) and 0.0 < ell < np.inf):
-        raise DomainError("ball radius must be positive and finite")
+    real_in(ell, "ell", 0.0, np.inf)
     w = np.asarray(q, dtype=float) - U_value * dphi_x
     wn = float(np.sqrt((w**2).sum()))
     return float(fhat_norm(wn, phi0 * spec.control_coeff, ell)) - phi0 * float(
@@ -307,8 +304,7 @@ def _drift_fields(grid: SimplexGrid, energy: EnergySpec):
 
 
 def _cfl_record(grid: SimplexGrid, energy: EnergySpec, ell: float, a_r, b1, b2) -> dict:
-    if not (is_real(ell) and 0.0 < ell < np.inf):
-        raise DomainError("control radius ell must be positive and finite")
+    real_in(ell, "ell", 0.0, np.inf)
     dt, hr, h1, h2 = grid.spacings
     sig2 = energy.sigma**2
     denom = (
@@ -574,8 +570,9 @@ def _axis_weights(ndim: int, weights) -> np.ndarray:
     if weights is None:
         return np.ones(ndim)
     w = np.asarray(weights, dtype=float)
-    if w.size != ndim or np.any(w <= 0.0):
-        raise DomainError("need one positive metric weight per axis")
+    # Negated, so that NaN fails too.
+    if w.size != ndim or not ((w > 0.0) & (w < np.inf)).all():
+        raise DomainError("need one positive finite metric weight per axis")
     return w
 
 
@@ -590,8 +587,7 @@ def metric_weights_for_value(n: int = 2) -> tuple:
 
 def sup_convolution(values: Array, axes, theta: float, weights=None) -> Array:
     """max over grid points w of values(w) - sum_z c_z (z - w)^2 / (2 theta)."""
-    if not 0.0 < theta:
-        raise DomainError("theta must be positive")
+    real_in(theta, "theta", 0.0, np.inf)
     out = np.asarray(values, dtype=float)
     w = _axis_weights(out.ndim, weights)
     for axis in range(out.ndim):
@@ -617,6 +613,7 @@ def semiconvexity_defect(conv: Array, axes, theta: float, weights=None) -> float
     Nonnegative (up to rounding) for sup-convolution output; negate the
     input to test semiconcavity of inf-convolution output.
     """
+    real_in(theta, "theta", 0.0, np.inf)
     conv = np.asarray(conv, dtype=float)
     w = _axis_weights(conv.ndim, weights)
     worst = np.inf

@@ -278,7 +278,7 @@ def test_infinite_horizon_exits_2_before_any_numpy_warning(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert run.returncode == 2
-    assert "need 0 <= t0 < T < inf" in run.stderr
+    assert "T must be a number in (0.0, inf), not inf" in run.stderr
     assert "RuntimeWarning" not in run.stderr
     assert not out.exists()
 

@@ -131,7 +131,7 @@ def test_cost_spec_guards():
                                  "terminal_weight", "terminal_offset"])
 @pytest.mark.parametrize("flag", [True, False, np.True_])
 def test_cost_spec_refuses_a_bool_scalar(key, flag):
-    with pytest.raises(DomainError, match=f"{key} must be a number, not a bool"):
+    with pytest.raises(DomainError, match=f"{key} must be a number in .*, not {flag!r}"):
         CostSpec(**{key: flag})
 
 
@@ -256,7 +256,7 @@ def test_fhat_frozen_values():
     )
     # A bool radius would compare as 1.
     for ell in (0.0, -1.0, math.nan, math.inf, True, "1.0"):
-        with pytest.raises(DomainError, match="ball radius"):
+        with pytest.raises(DomainError, match="ell must be a number"):
             legendre_fhat(spec, 0.0, rho, x, np.array([3.0, 0.0]), ell)
     # The state part enters with a minus sign and no transform.
     tracked = CostSpec(tracking_coeff=1.0, target_x=np.zeros(2))
@@ -388,7 +388,7 @@ def test_hamiltonian_quadratic_term_and_guard():
     with pytest.raises(ShapeError):
         hamiltonian(cost, energy, 0.0, rho, x, p, q, np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
     for ell in (0.0, True):
-        with pytest.raises(DomainError, match="ball radius"):
+        with pytest.raises(DomainError, match="ell must be a number"):
             hamiltonian(cost, energy, 0.0, rho, x, p, q, Q, ell)
 
 
@@ -584,6 +584,14 @@ def test_budget_flagging():
     est = value_function_mc(cost, cfg, 0.0, rho, x, {"ell": 1.0, "m": 2}, 8, 5, budget=3)
     assert est.trace["flagged"]
     assert est.trace["evals"] <= 3
+    # A budget is a number >= 1, or inf for none.  NaN would never stop the
+    # search, and 0, -5 or True would stop it after the first evaluation.
+    for budget in (math.nan, 0, -5, 0.5, True, "150"):
+        with pytest.raises(DomainError, match="budget"):
+            value_function_mc(cost, cfg, 0.0, rho, x, {"ell": 1.0, "m": 2}, 8, 5, budget=budget)
+    unlimited = value_function_mc(cost, cfg, 0.0, rho, x, {"ell": 1.0, "m": 1}, 8, 5,
+                                  budget=math.inf)
+    assert not unlimited.trace["flagged"]
 
 
 def test_all_paths_escaping_raises():
@@ -787,26 +795,17 @@ def test_prefix_reuse_equals_full_recomputation_in_the_search(monkeypatch, break
     assert any(escaped for _, _, _, escaped in resumed)
 
 
-def test_a_kept_incumbent_owns_its_marks(monkeypatch):
-    # A search holds its best estimate for long, so it keeps a copy of that
-    # estimate's marks (_kept): as views they would hold the arrays of the
-    # whole batch that scored it.  Mark 0 is the paths' start at t0.
-    batches, results = [], []
-    estimates, lockstep = control._cost_estimates, control._lockstep
-
-    def recorded(*args):
-        out = estimates(*args)
-        batches.append([
-            a for est in out if isinstance(est, control._Estimate)
-            for state in est.marks for a in state
-        ])
-        return out
+def test_an_incumbent_keeps_one_mark_per_piece(monkeypatch):
+    # A search's best estimate keeps its run's row state at breakpoints
+    # 0..m-1 (its marks), from which trials that move a later piece start.
+    # Mark 0 is the paths' start at t0.
+    results = []
+    lockstep = control._lockstep
 
     def search(searches, estimate):
         results.extend(lockstep(searches, estimate))
         return results
 
-    monkeypatch.setattr(control, "_cost_estimates", recorded)
     monkeypatch.setattr(control, "_lockstep", search)
     cost, cfg, t, _, rho, x, _, paths, seed = small_gap_inputs()
     klass = {"ell": 1.0, "m": 3, "golden_iters": 2, "sweeps": 1}
@@ -815,11 +814,6 @@ def test_a_kept_incumbent_owns_its_marks(monkeypatch):
     assert params.any() and len(best.marks) == 3
     for a, b in zip(best.marks[0], control._fresh(rho.rho, x.s, paths), strict=True):
         assert a.tobytes() == b.tobytes()
-    batch_arrays = [a for batch in batches for a in batch]
-    assert batch_arrays
-    for state in best.marks:
-        for a in state:
-            assert not any(np.shares_memory(a, b) for b in batch_arrays)
 
 
 def test_lockstep_step_counts_are_pinned(monkeypatch):

@@ -307,9 +307,9 @@ def test_config_refuses_a_bool_or_a_non_number(key, bad):
 
 
 def test_control_signal_refuses_a_bool_radius():
-    with pytest.raises(DomainError, match="control radius"):
+    with pytest.raises(DomainError, match="ell must be a number"):
         ControlSignal.constant([0.5, -0.5], 0.0, 0.1, True)
-    with pytest.raises(DomainError, match="control radius"):
+    with pytest.raises(DomainError, match="ell must be a number"):
         ControlSignal([0.0, 0.1], [[0.0, 0.0]], "1.0")
 
 

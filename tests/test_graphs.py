@@ -263,6 +263,24 @@ def test_distance_oracle_guards():
     with pytest.raises(DomainError):
         two_node_distance_oracle(w, -1.0, 0.3, 0.5)
     assert two_node_distance_oracle(w, 1.0, 0.4, 0.4) == 0.0
+    # A bool would run as 1; an infinite weight is no edge weight.
+    for omega, a, b in ((True, 0.3, 0.5), (math.inf, 0.3, 0.5), (math.nan, 0.3, 0.5),
+                        (1.0, True, 0.5), (1.0, 0.3, math.nan)):
+        with pytest.raises(DomainError):
+            two_node_distance_oracle(w, omega, a, b)
+
+
+@pytest.mark.parametrize("kw", [
+    {"steps": 8.5}, {"steps": 7}, {"steps": True}, {"iters": 2.5}, {"iters": True},
+    {"iters": -3},
+])
+def test_transport_takes_int_steps_and_iters(kw):
+    G = Graph.from_edges(2, [(0, 1, 1.0)])
+    w = ProbabilityWeight(AVERAGE)
+    rho0, rho1 = DensityState(rho=np.array([0.3, 0.7])), DensityState(rho=np.array([0.6, 0.4]))
+    for transport in (wasserstein_path, wasserstein_distance):
+        with pytest.raises(DomainError, match=next(iter(kw))):
+            transport(G, w, rho0, rho1, **kw)
 
 
 def test_distance_is_symmetric_and_scales_with_omega():

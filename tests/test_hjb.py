@@ -134,9 +134,9 @@ def test_fhat_R_reduces_to_plain_transform_on_plateau():
             plain, rel=1e-14, abs=1e-14
         )
     for ell in (0.0, -1.0, np.nan, np.inf, True):
-        with pytest.raises(DomainError, match="ball radius"):
+        with pytest.raises(DomainError, match="ell must be a number"):
             fhat_R(cost, energy, tr, 0.0, rho, x, np.zeros(2), 0.0, ell)
-        with pytest.raises(DomainError, match="ball radius"):
+        with pytest.raises(DomainError, match="ell must be a number"):
             truncated_hamiltonian(
                 cost, energy, tr, 0.0, rho, x, 0.0,
                 np.zeros(2), np.zeros(2), np.zeros((2, 2)), ell,
@@ -280,9 +280,9 @@ def test_solver_guards():
     with pytest.raises(CflError, match="monotonicity"):
         hjb_solve_backward(coarse, CostSpec(), energy, 1.0)
     for ell in (0.0, -1.0, np.nan, np.inf, True):
-        with pytest.raises(DomainError, match="ell must be positive"):
+        with pytest.raises(DomainError, match="ell must be a number"):
             SimplexGrid.build(energy, ell, 0.25, shape=(9, 9, 9, 16))
-        with pytest.raises(DomainError, match="ell must be positive"):
+        with pytest.raises(DomainError, match="ell must be a number"):
             hjb_solve_backward(grid, CostSpec(), energy, ell)
     with pytest.raises(DomainError):
         GridValueFunction(grid=grid, values=np.zeros((3, 3, 3, 3)), cost_spec=None,
@@ -718,3 +718,18 @@ def test_convolution_guards_and_metric_weights():
         sup_convolution(vals, [np.linspace(0, 1, 3), axes[1]], 0.1)
     assert metric_weights_for_value(2) == (1.0, 2.0, 1.0, 1.0)
     assert metric_weights_for_value(3) == (1.0, 3.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("envelope", [sup_convolution, inf_convolution, semiconvexity_defect])
+@pytest.mark.parametrize("theta, weights", [
+    (np.inf, None),         # the envelope would be the global maximum
+    (True, None),           # a bool would run as theta = 1
+    (np.nan, None),
+    (0.1, (np.nan, 1.0)),   # a non-finite weight gives a non-finite envelope
+    (0.1, (np.inf, 1.0)),
+], ids=["theta_inf", "theta_bool", "theta_nan", "weight_nan", "weight_inf"])
+def test_envelopes_take_a_finite_positive_theta_and_weights(envelope, theta, weights):
+    vals = np.arange(16.0).reshape(4, 4)
+    axes = [np.linspace(0, 1, 4), np.linspace(0, 1, 4)]
+    with pytest.raises(DomainError):
+        envelope(vals, axes, theta, weights)
